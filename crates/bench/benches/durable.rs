@@ -12,12 +12,17 @@
 //!   death, not machine crash). The `group_n32` vs `fsync_commit` gap
 //!   is what group commit buys; `group_n32` vs `nostore` is the whole
 //!   durability tax.
-//! * **Rehydrate-vs-warm latency** — one ranking read three ways: a
+//! * **Rehydrate-vs-warm latency** — one ranking read four ways: a
 //!   warm cache hit, the in-memory rehydrate round-trip (evict to the
-//!   resident log, rebuild, cold solve), and the full durable
-//!   round-trip (spill to snapshot+WAL on disk, read back, replay the
-//!   tail, cold solve). The last two isolate what the disk adds over
-//!   an eviction that never left memory.
+//!   resident log, rebuild), the full durable round-trip (spill to
+//!   snapshot+WAL on disk, read back, replay the tail, rebuild), and a
+//!   process restart (a fresh server adopts the store directory, then
+//!   reads). Eviction and spill keep the session's last solve in memory,
+//!   so the two eviction rows serve their read from it without a cold
+//!   solve; only the restart row, which starts from disk alone, pays
+//!   one. `restore_disk` vs `restore_restart` is what warm restore buys
+//!   over a cold one; `rehydrate_mem` vs `restore_disk` isolates what the
+//!   disk adds.
 //!
 //! Set `HND_BENCH_QUICK=1` to restrict the fleet (CI smoke); set
 //! `BENCH_JSON=path.json` to emit machine-readable results; pass the
@@ -199,9 +204,9 @@ fn bench_durable_waves(c: &mut Criterion) {
 }
 
 /// Rehydrate-vs-warm: one ranking read as a cache hit, after an
-/// in-memory eviction, and after a spill to disk. The eviction rows
-/// measure the whole round-trip (evict + read), so the warm row is the
-/// floor, not a subtrahend.
+/// in-memory eviction, after a spill to disk, and after a restart over
+/// the store directory. The eviction rows measure the whole round-trip
+/// (evict + read), so the warm row is the floor, not a subtrahend.
 fn bench_restore_gap(c: &mut Criterion) {
     let mut group = c.benchmark_group("serving_durable");
     group.sample_size(10);
@@ -211,13 +216,16 @@ fn bench_restore_gap(c: &mut Criterion) {
     let (m, n) = if quick() { (400, 40) } else { (1000, 60) };
     // warm: no eviction, pure cache hit. rehydrate_mem: evict to the
     // resident log each round. restore_disk: spill to snapshot+WAL each
-    // round.
+    // round. restore_restart: a fresh server over the spilled directory
+    // each round.
     let rows: &[(&str, bool, bool)] = &[
         ("warm", false, false),
         ("rehydrate_mem", true, false),
         ("restore_disk", true, true),
+        ("restore_restart", true, true),
     ];
     for &(name, evict, durable) in rows {
+        let restart = name == "restore_restart";
         let opts = ServerOpts {
             workers: 1,
             idle_threshold: if evict { Some(0) } else { None },
@@ -244,11 +252,22 @@ fn bench_restore_gap(c: &mut Criterion) {
                 ..Default::default()
             },
         );
+        let mut srv = Some(srv);
         group.bench_with_input(
             BenchmarkId::new("read", format!("{name}_m{m}")),
             &name,
             |b, _| {
                 b.iter(|| {
+                    if restart {
+                        // The previous process releases the directory
+                        // before the next one adopts it.
+                        drop(srv.take());
+                        let d = dir.as_ref().expect("restart rows are durable");
+                        let store = SessionStore::open(d, StoreOpts::default())
+                            .expect("reopen bench store");
+                        srv = Some(SessionServer::with_store(opts, Arc::new(store)));
+                    }
+                    let srv = srv.as_ref().expect("server running");
                     if evict {
                         srv.evict_idle();
                     }

@@ -92,6 +92,11 @@ impl WarmStartCache {
         self.entries.iter().max_by_key(|e| e.version)
     }
 
+    /// Consumes the cache, keeping only its [`Self::latest`] entry.
+    pub fn into_latest(self) -> Option<CachedSolve> {
+        self.entries.into_iter().max_by_key(|e| e.version)
+    }
+
     /// Inserts (or refreshes) a solve, evicting the least recently used
     /// entry when over capacity.
     ///

@@ -159,6 +159,26 @@ struct SkipRates {
     ripple: Option<f64>,
 }
 
+/// What a torn-down engine's next solve would have warm-started from,
+/// carried across idle eviction and spill so the rebuilt engine resumes
+/// from the very same vector ([`RankingEngine::into_parts`] →
+/// [`RankingEngine::rehydrate`]). It lives only in the session manager's
+/// slot and never reaches disk: a process restart or an adopted session
+/// still solves cold. At most two score vectors (for the power solver):
+/// the exact state plus either its served ranking or newer approx scores.
+#[derive(Debug, Clone)]
+pub struct WarmState {
+    /// Version and spectral state of the latest exact solve.
+    exact: Option<(u64, SolveState)>,
+    /// That solve's served ranking, kept only when no edit followed it —
+    /// the one case in which a never-evicted engine answers the next read
+    /// from its cache instead of solving.
+    ranking: Option<Ranking>,
+    /// Version and scores of the approx slot, kept only when newer than
+    /// `exact` (what the next certified or coarse solve resumes from).
+    approx: Option<(u64, Vec<f64>)>,
+}
+
 /// Configuration of a [`RankingEngine`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EngineOpts {
@@ -441,6 +461,13 @@ pub struct RankingEngine {
     approx: Option<ApproxSolve>,
     /// Calibration state of the delta-skip fast path.
     skip_rates: SkipRates,
+    /// Exact solve state carried over an eviction ([`WarmState`]); the
+    /// warm start of the first exact solve until the cache holds a newer
+    /// one.
+    carried_exact: Option<(u64, SolveState)>,
+    /// Approx-slot scores carried over an eviction; the warm start of the
+    /// first approximate solve until the approx slot is refilled.
+    carried_approx: Option<(u64, Vec<f64>)>,
     /// Telemetry recording handle installed by the serving layer while the
     /// engine is checked out (`None` outside a server or with telemetry
     /// off — every record site is one `Option` branch then).
@@ -478,9 +505,49 @@ impl RankingEngine {
             decision,
             approx: None,
             skip_rates: SkipRates::default(),
+            carried_exact: None,
+            carried_approx: None,
             probe: None,
             opts,
         })
+    }
+
+    /// Rebuilds an evicted session's engine — the one rebuild path of the
+    /// serving layer: [`Self::from_log`], the WAL edits a store restore
+    /// replayed ([`Self::record_wal_replay`]), and the [`WarmState`] the
+    /// torn-down engine left behind, so the first solve warm-starts from
+    /// the vector a never-evicted engine would pick. State whose length is
+    /// not the roster's is dropped (that solve runs cold).
+    pub fn rehydrate(
+        log: ResponseLog,
+        opts: EngineOpts,
+        replayed: u64,
+        warm: Option<WarmState>,
+    ) -> Result<Self, ResponseError> {
+        let mut engine = Self::from_log(log, opts)?;
+        engine.record_wal_replay(replayed);
+        let Some(WarmState {
+            exact,
+            ranking,
+            approx,
+        }) = warm
+        else {
+            return Ok(engine);
+        };
+        let m = engine.log.n_users();
+        let version = engine.log.version();
+        if let Some((at, state)) = exact.filter(|(_, s)| s.n_users() == m) {
+            match ranking.filter(|r| r.len() == m && at == version) {
+                Some(ranking) => engine.cache.insert(CachedSolve {
+                    version: at,
+                    ranking,
+                    state,
+                }),
+                None => engine.carried_exact = Some((at, state)),
+            }
+        }
+        engine.carried_approx = approx.filter(|(_, s)| s.len() == m);
+        Ok(engine)
     }
 
     /// Installs (or clears) the serving layer's telemetry probe. The
@@ -539,12 +606,59 @@ impl RankingEngine {
         &self.log
     }
 
-    /// Tears the engine down to its durable state, dropping the kernel
-    /// context and warm-start cache. The eviction path: a
-    /// [`crate::SessionManager`] keeps only the returned log for idle
-    /// sessions and rebuilds the engine from it on the next touch.
+    /// Tears the engine down to its durable log alone, dropping the kernel
+    /// context and every solve it cached (the quarantine salvage path).
+    /// Eviction uses [`Self::into_parts`], which keeps the warm start.
     pub fn into_log(self) -> ResponseLog {
         self.log
+    }
+
+    /// Tears the engine down for eviction: the durable log plus the
+    /// [`WarmState`] its next solve would have resumed from (`None` when
+    /// it never solved). The kernel context and the rest of the cache are
+    /// dropped; [`Self::rehydrate`] rebuilds the engine from both.
+    pub fn into_parts(self) -> (ResponseLog, Option<WarmState>) {
+        let version = self.log.version();
+        let (exact, ranking) = match self.cache.into_latest() {
+            Some(c) => {
+                let ranking = (c.version == version).then_some(c.ranking);
+                (Some((c.version, c.state)), ranking)
+            }
+            None => (self.carried_exact, None),
+        };
+        let exact_version = exact.as_ref().map(|(v, _)| *v);
+        let approx = match self.approx {
+            Some(a) => Some((a.version, a.ranking.scores)),
+            None => self.carried_approx,
+        }
+        .filter(|(v, _)| exact_version.is_none_or(|e| *v > e));
+        let warm = (exact.is_some() || approx.is_some()).then_some(WarmState {
+            exact,
+            ranking,
+            approx,
+        });
+        (self.log, warm)
+    }
+
+    /// The newest exact solve's version and state: the cache's, else the
+    /// one carried over an eviction (every cache entry is newer).
+    fn latest_exact(&self) -> Option<(u64, &SolveState)> {
+        match self.cache.latest() {
+            Some(c) => Some((c.version, &c.state)),
+            None => self.carried_exact.as_ref().map(|(v, s)| (*v, s)),
+        }
+    }
+
+    /// The newest approximate scores: the approx slot's, else those
+    /// carried over an eviction (a refilled slot is always newer).
+    fn latest_approx(&self) -> Option<(u64, &[f64])> {
+        match &self.approx {
+            Some(a) => Some((a.version, a.ranking.scores.as_slice())),
+            None => self
+                .carried_approx
+                .as_ref()
+                .map(|(v, s)| (*v, s.as_slice())),
+        }
     }
 
     /// Stamps how many WAL edits a durable-store recovery replayed to
@@ -575,10 +689,10 @@ impl RankingEngine {
         matches!(self.backend, Backend::Sharded(_))
     }
 
-    /// `true` when a cached spectral state exists to warm-start the next
-    /// solve.
+    /// `true` when a spectral state exists to warm-start the next exact
+    /// solve (cached, or carried over an eviction).
     pub fn has_warm_state(&self) -> bool {
-        self.cache.latest().is_some()
+        self.latest_exact().is_some()
     }
 
     /// `true` when the latest solve is current (submit-free since then).
@@ -848,7 +962,7 @@ impl RankingEngine {
             return Ok(cached.ranking.clone());
         }
         self.advance();
-        let warm: Option<SolveState> = self.cache.latest().map(|c| c.state.clone());
+        let warm: Option<SolveState> = self.latest_exact().map(|(_, s)| s.clone());
         if let Some(p) = &self.probe {
             p.event(EventKind::SolveStart {
                 warm: warm.is_some(),
@@ -898,6 +1012,8 @@ impl RankingEngine {
             ranking: outcome.ranking.clone(),
             state: outcome.state,
         });
+        self.carried_exact = None;
+        self.carried_approx = None;
         // An exact solve dominates whatever the approx slot held: refresh
         // it (feeding the skip-path calibration on the way) so subsequent
         // certified queries skip or warm-start from the best data.
@@ -1018,16 +1134,11 @@ impl RankingEngine {
     ) -> Result<Ranking, RankError> {
         self.advance();
         let version = self.prepared_version;
-        let warm: Option<SolveState> = {
-            let exact = self.cache.latest();
-            match (&self.approx, exact) {
-                (Some(a), Some(c)) if a.version > c.version => {
-                    Some(SolveState::from_scores(a.ranking.scores.clone()))
-                }
-                (Some(a), None) => Some(SolveState::from_scores(a.ranking.scores.clone())),
-                (_, Some(c)) => Some(c.state.clone()),
-                (None, None) => None,
-            }
+        let warm: Option<SolveState> = match (self.latest_approx(), self.latest_exact()) {
+            (Some((va, a)), Some((vc, _))) if va > vc => Some(SolveState::from_scores(a.to_vec())),
+            (Some((_, a)), None) => Some(SolveState::from_scores(a.to_vec())),
+            (_, Some((_, c))) => Some(c.clone()),
+            (None, None) => None,
         };
         let mut solver_opts = self.opts.solver_opts;
         solver_opts.target = target;
@@ -1086,6 +1197,7 @@ impl RankingEngine {
         self.observe_perturbation(version, &norm, achieved_tol);
         let order = sorted_order(&norm);
         let m = norm.len();
+        self.carried_approx = None;
         self.approx = Some(ApproxSolve {
             version,
             k: cert_k,
@@ -1361,6 +1473,7 @@ impl RankingEngine {
             ranking,
             state,
         });
+        self.carried_exact = None;
     }
 }
 

@@ -75,17 +75,18 @@
 //!
 //! The durable state of a session is its log, nothing else. Idle sessions
 //! (logical-clock threshold, see [`SessionManager::set_idle_threshold`])
-//! are torn down to that log and transparently rebuilt on the next touch;
-//! reconnecting clients resync from any cached version with one compacted
+//! are torn down to that log plus an in-memory [`WarmState`] (the last
+//! solve's vector) and transparently rebuilt on the next touch, whose
+//! first solve warm-starts; reconnecting clients resync from any cached version with one compacted
 //! delta ([`ResponseLog::compact_range`](hnd_response::ResponseLog::compact_range)
 //! via [`SessionServer::catch_up`]).
 //!
 //! With a [`SessionStore`] attached ([`SessionServer::with_store`] /
 //! [`SessionManager::with_store`]) the log itself leaves memory: commits
 //! stream into per-session crash-safe WALs (group-commit fsync batching),
-//! idle evictions **spill** — binary snapshot + flushed WAL on disk,
-//! nothing resident — and the next touch **restores** by snapshot read +
-//! WAL-tail replay. A fresh process over the same store directory adopts
+//! idle evictions **spill** — binary snapshot + flushed WAL on disk, only
+//! the warm state resident — and the next touch **restores** by snapshot
+//! read + WAL-tail replay. A fresh process over the same store directory adopts
 //! every session where the last one left off, and `catch_up` from a
 //! version older than the in-memory history serves off the WAL instead of
 //! failing. `tests/failure_injection.rs` pins restart and catch-up
@@ -147,11 +148,11 @@ pub mod server;
 pub mod session;
 
 pub use cache::{CachedSolve, WarmStartCache};
-pub use engine::{EngineOpts, EngineStats, QueryTier, RankingEngine, COARSE_MAX_ITER};
+pub use engine::{EngineOpts, EngineStats, QueryTier, RankingEngine, WarmState, COARSE_MAX_ITER};
 pub use server::{
     Deadline, DeadlineClient, Reply, ServerError, ServerOpts, ServerSnapshot, SessionServer,
 };
-pub use session::{Checkout, ManagerStats, SessionError, SessionId, SessionManager};
+pub use session::{Checkout, Dormant, ManagerStats, SessionError, SessionId, SessionManager};
 
 // Re-export the building blocks callers configure the service with.
 pub use hnd_core::{SolveOutcome, SolveState, SolverKind, SolverOpts, SpectralSolver, Target};

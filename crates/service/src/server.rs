@@ -60,8 +60,10 @@
 //! * **Eviction.** The manager's idle policy (logical-clock ticks, see
 //!   [`SessionManager::set_idle_threshold`]) sweeps at check-ins on an
 //!   amortized stride; checked-out (busy) sessions are never evicted, and
-//!   rehydration builds run outside the global lock (the worker receives
-//!   the durable log and rebuilds the engine itself).
+//!   rehydration runs outside the global lock: the worker receives the
+//!   durable log (or, for a spilled session, loads it from the store
+//!   itself) and rebuilds the engine with the session's carried warm
+//!   state ([`RankingEngine::rehydrate`]).
 //! * **Catch-up.** [`SessionServer::catch_up`] returns the compacted delta
 //!   from any cached client version to head
 //!   ([`ResponseLog::compact_range`](hnd_response::ResponseLog::compact_range)),
@@ -70,8 +72,8 @@
 //! * **Shutdown.** Dropping the server drains the ready queue, resolves
 //!   late commands with [`ServerError::Terminated`], and joins the pool.
 
-use crate::engine::{EngineOpts, EngineStats, RankingEngine};
-use crate::session::{Checkout, ManagerStats, SessionError, SessionId, SessionManager};
+use crate::engine::{EngineOpts, EngineStats, RankingEngine, WarmState};
+use crate::session::{Checkout, Dormant, ManagerStats, SessionError, SessionId, SessionManager};
 use hnd_linalg::parallel;
 use hnd_response::{
     rank_many, RankError, Ranking, ResponseDelta, ResponseError, ResponseLog, ResponseMatrix,
@@ -1180,6 +1182,7 @@ impl SessionServer {
         snap.counter("manager_rehydrations", manager.rehydrations);
         snap.counter("manager_spills", manager.spills);
         snap.counter("manager_restores", manager.restores);
+        snap.counter("manager_warm_restores", manager.warm_restores);
         snap.counter("manager_store_errors", manager.store_errors);
         snap.counter("manager_quarantines", manager.quarantines);
         snap.counter("manager_revivals", manager.revivals);
@@ -1353,9 +1356,11 @@ impl Drop for SessionServer {
     }
 }
 
-/// Pulls up to `cap − 1` additional *evicted, solve-hungry* sessions out
-/// of the ready queue into the worker's pass (the cold-storm batch).
-/// Unselected ids keep their queue position and `enqueued` flag.
+/// Pulls up to `cap − 1` additional *evicted, solve-hungry* sessions
+/// without warm state out of the ready queue into the worker's pass (the
+/// cold-storm batch: a session carrying warm state solves faster on its
+/// own than in a cold `rank_many`). Unselected ids keep their queue
+/// position and `enqueued` flag.
 fn collect_cold_batch(
     st: &mut Inner,
     batch: &mut Vec<(SessionId, Vec<Queued>, Checkout)>,
@@ -1366,7 +1371,7 @@ fn collect_cold_batch(
         let Some(id) = st.ready.pop_front() else {
             break;
         };
-        let eligible = st.mgr.is_evicted(id)
+        let eligible = st.mgr.is_cold_evicted(id)
             && st
                 .mailboxes
                 .get(&id)
@@ -1403,11 +1408,11 @@ fn collect_cold_batch(
 /// arrived meanwhile). Exits once shutdown is set and the ready queue is
 /// drained.
 ///
-/// When the popped session is an evicted one needing a solve, up to
-/// `cold_batch − 1` more such sessions join the pass: their engines are
-/// rebuilt outside the lock and their cold solves run together through
-/// [`rank_many`] (batch-level parallelism), each result seeded into its
-/// engine's cache before the commands execute.
+/// When the popped session is an evicted one without warm state needing a
+/// solve, up to `cold_batch − 1` more such sessions join the pass: their
+/// engines are rebuilt outside the lock and their cold solves run together
+/// through [`rank_many`] (batch-level parallelism), each result seeded
+/// into its engine's cache before the commands execute.
 fn worker_loop(
     shared: &Shared,
     inner_threads: usize,
@@ -1431,8 +1436,9 @@ fn worker_loop(
                     }
                     let commands: Vec<Queued> = mailbox.queue.drain(..).collect();
                     // checkout (not take_engine): an evicted session hands
-                    // back its log so the O(nnz) rehydration build runs
-                    // outside the lock — the mutex guards bookkeeping only.
+                    // back its log (a spilled one only its warm state) so
+                    // the store load and the O(nnz) rebuild run outside
+                    // the lock — the mutex guards bookkeeping only.
                     match st.mgr.checkout(id) {
                         Ok(checkout) => {
                             st.mailboxes
@@ -1445,10 +1451,7 @@ fn worker_loop(
                             let mgr_stats = st.mgr.stats();
                             let mut batch = vec![(id, commands, checkout)];
                             if cold_batch > 1
-                                && matches!(
-                                    batch[0].2,
-                                    Checkout::Rehydrate(_) | Checkout::Restore { .. }
-                                )
+                                && batch[0].2.is_cold()
                                 && batch[0].1.iter().any(|q| q.cmd.needs_solve())
                             {
                                 collect_cold_batch(&mut st, &mut batch, cold_batch);
@@ -1457,8 +1460,8 @@ fn worker_loop(
                         }
                         Err(e) => {
                             // The manager cannot serve the id (closed
-                            // concurrently, quarantined, restore failed):
-                            // fail the drained batch, keep popping.
+                            // concurrently, quarantined): fail the drained
+                            // batch, keep popping.
                             st.inflight = st.inflight.saturating_sub(commands.len() as u64);
                             let err = ServerError::from(e);
                             for q in commands {
@@ -1483,8 +1486,18 @@ fn worker_loop(
         // durable state is still on disk (salvage `None`) — quarantine
         // them at check-in instead of taking the worker down.
         let mut broken: Vec<(SessionId, Vec<Queued>)> = Vec::new();
+        // Spilled sessions whose store load failed: handed back to the
+        // manager (and their commands rejected) at check-in.
+        let mut unloadable: Vec<(SessionId, Vec<Queued>, Option<WarmState>, String)> = Vec::new();
         let mut cold: Vec<usize> = Vec::new();
         let batched = batch.len() > 1;
+        let rebuild = |log: ResponseLog, replayed: u64, warm: Option<WarmState>| {
+            std::panic::catch_unwind(AssertUnwindSafe(|| {
+                RankingEngine::rehydrate(log, engine_opts, replayed, warm)
+            }))
+            .ok()
+            .and_then(Result::ok)
+        };
         for (id, commands, checkout) in batch {
             // The checkout event carries the first queued command's seq so
             // a trace reader can tie the rebuild to the command that paid
@@ -1493,71 +1506,56 @@ fn worker_loop(
             let kind0 = commands
                 .first()
                 .map_or(CommandKind::Close, |q| q.cmd.kind());
-            let (engine, was_cold) = match checkout {
-                Checkout::Live(engine) => {
+            let started = Instant::now();
+            let (kind, engine, replayed, warm) = match checkout {
+                Checkout::Live(engine) => (CheckoutKind::Live, Some(*engine), 0, false),
+                Checkout::Rehydrate(Dormant { log, warm }) => {
+                    let carried = warm.is_some();
+                    (CheckoutKind::Rehydrate, rebuild(log, 0, warm), 0, carried)
+                }
+                Checkout::Restore { warm } => {
+                    let loaded = store
+                        .as_deref()
+                        .expect("spilled session without an attached store")
+                        .load(id);
+                    match loaded {
+                        Ok((log, report)) => {
+                            let (replayed, carried) = (report.replayed_edits, warm.is_some());
+                            let engine = rebuild(log, replayed, warm);
+                            (CheckoutKind::Restore, engine, replayed, carried)
+                        }
+                        Err(e) => {
+                            unloadable.push((id, commands, warm, e.to_string()));
+                            continue;
+                        }
+                    }
+                }
+            };
+            let rebuilt = kind != CheckoutKind::Live;
+            match engine {
+                Some(mut engine) => {
                     if enabled {
                         hub.record(
                             ring,
                             id,
                             seq0,
                             EventKind::Checkout {
-                                kind: CheckoutKind::Live,
-                                replayed: 0,
-                            },
-                        );
-                    }
-                    (Some(*engine), false)
-                }
-                Checkout::Rehydrate(log) => {
-                    let started = Instant::now();
-                    let built = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                        RankingEngine::from_log(log, engine_opts)
-                    }));
-                    let engine = built.ok().and_then(Result::ok);
-                    if engine.is_some() && enabled {
-                        hub.record(
-                            ring,
-                            id,
-                            seq0,
-                            EventKind::Checkout {
-                                kind: CheckoutKind::Rehydrate,
-                                replayed: 0,
-                            },
-                        );
-                        hub.record_stage(Stage::Restore, started.elapsed().as_nanos() as u64);
-                    }
-                    (engine, true)
-                }
-                Checkout::Restore { log, replayed } => {
-                    let started = Instant::now();
-                    let built = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                        RankingEngine::from_log(log, engine_opts)
-                    }));
-                    let engine = built.ok().and_then(Result::ok).map(|mut engine| {
-                        engine.record_wal_replay(replayed);
-                        engine
-                    });
-                    if engine.is_some() && enabled {
-                        hub.record(
-                            ring,
-                            id,
-                            seq0,
-                            EventKind::Checkout {
-                                kind: CheckoutKind::Restore,
+                                kind,
                                 replayed,
+                                warm,
                             },
                         );
-                        hub.record_stage(Stage::Restore, started.elapsed().as_nanos() as u64);
+                        if rebuilt {
+                            if warm {
+                                hub.bump(Counter::WarmCheckouts);
+                            }
+                            hub.record_stage(Stage::Restore, started.elapsed().as_nanos() as u64);
+                        }
                     }
-                    (engine, true)
-                }
-            };
-            match engine {
-                Some(mut engine) => {
                     // Cold indices are assigned only after a successful
                     // build so a broken session never corrupts the
                     // batched-solve index set.
-                    if batched && was_cold {
+                    if batched && rebuilt && !warm {
                         cold.push(items.len());
                     }
                     // (Re)install the probe every checkout: the engine may
@@ -1755,6 +1753,24 @@ fn worker_loop(
         }
         let mut dropped = 0u64;
         let mut notify = false;
+        // Failed restores: the slot goes back to spilled with its warm
+        // state and the drained commands fail with the store error.
+        for (id, commands, warm, msg) in unloadable {
+            st.mgr.abort_restore(id, warm);
+            consumed += commands.len() as u64;
+            let err = ServerError::from(SessionError::Store(msg));
+            for q in commands {
+                q.cmd.reject(err.clone());
+            }
+            if let Some(mailbox) = st.mailboxes.get_mut(&id) {
+                mailbox.busy = false;
+                if !mailbox.queue.is_empty() && !mailbox.enqueued {
+                    mailbox.enqueued = true;
+                    st.ready.push_back(id);
+                    notify = true;
+                }
+            }
+        }
         for (id, outcome, settles) in finished {
             match outcome {
                 Outcome::Done { engine, close } => {

@@ -20,11 +20,15 @@
 //! session untouched for that many manager operations is **evicted** — its
 //! engine is torn down to the log ([`RankingEngine::into_log`]) — and the
 //! next touch (submit, ranking read, checkout) **rehydrates** it
-//! transparently: the engine rebuilds from the log and the first solve
-//! runs cold, after which the session is warm again. Rankings served by a
-//! rehydrated session are identical to a never-evicted one's (the log is
-//! the complete state; only cached acceleration is dropped), which
-//! `tests/failure_injection.rs` pins down.
+//! transparently: the engine rebuilds from the log. Eviction keeps the
+//! torn-down engine's [`WarmState`] in the slot — the last exact solve's
+//! state (plus newer approximate scores), never written to disk — so the
+//! rebuilt engine's first solve warm-starts from the very vector a
+//! never-evicted engine would, and serves the same scores
+//! (`tests/warm_restore.rs`). The log stays the complete state: a session
+//! adopted by a fresh process, or revived from quarantine, rehydrates
+//! without warm state and its first solve runs cold, to the same ranking
+//! up to solver tolerance (`tests/failure_injection.rs`).
 //!
 //! Time is a **logical clock** (one tick per manager operation), not wall
 //! time: eviction decisions are deterministic and testable, and a server
@@ -38,9 +42,12 @@
 //! served through the synchronous paths. [`crate::SessionServer`] builds
 //! its per-session single-writer guarantee on exactly this — a worker
 //! checks the engine out, processes the session's mailbox without holding
-//! any global lock, and checks it back in.
+//! any global lock, and checks it back in. [`SessionManager::checkout`] is
+//! the lock-friendly form: for an evicted session it hands out what the
+//! rebuild needs ([`Checkout`]) and leaves the `O(nnz)` work — the store
+//! load, [`RankingEngine::rehydrate`] — to the caller.
 
-use crate::engine::{EngineOpts, EngineStats, RankingEngine};
+use crate::engine::{EngineOpts, EngineStats, RankingEngine, WarmState};
 use hnd_core::SpectralSolver;
 use hnd_response::{rank_many, RankError, Ranking, ResponseError, ResponseLog, ResponseMatrix};
 use hnd_store::SessionStore;
@@ -111,19 +118,21 @@ impl From<RankError> for SessionError {
 }
 
 /// One session's representation: live (engine resident), evicted (durable
-/// log only), or checked out to a worker.
+/// log plus warm state), spilled, or checked out to a worker.
 enum SessionState {
     /// Engine resident in the slot; the synchronous paths serve from it.
     /// Boxed so a mostly-evicted fleet pays log-sized slots, not
     /// engine-sized ones.
     Live(Box<RankingEngine>),
-    /// Torn down to the durable log; any touch rehydrates.
-    Evicted(ResponseLog),
-    /// Spilled to the attached [`SessionStore`]: *no* state in memory at
-    /// all — the durable snapshot + WAL pair is the session. The next
-    /// touch loads it back ([`SessionStore::load`]) and rebuilds the
-    /// engine.
-    Spilled,
+    /// Torn down to the durable log and the warm state; any touch
+    /// rehydrates.
+    Evicted(Dormant),
+    /// Spilled to the attached [`SessionStore`]: the durable snapshot +
+    /// WAL pair is the session, and memory keeps only the engine's
+    /// [`WarmState`] (`None` for a session adopted from the store). The
+    /// next touch loads the log back ([`SessionStore::load`]) and rebuilds
+    /// the engine warm.
+    Spilled(Option<WarmState>),
     /// Engine temporarily owned by a caller of
     /// [`SessionManager::take_engine`].
     CheckedOut,
@@ -142,26 +151,45 @@ struct SessionSlot {
     last_touch: u64,
 }
 
-/// What [`SessionManager::checkout`] hands a worker: a live engine, or the
-/// durable log of an evicted session whose engine the worker must rebuild
-/// itself (outside any shared lock).
+/// An evicted session's in-memory remains: its durable log and the warm
+/// state its torn-down engine left behind.
+pub struct Dormant {
+    /// The complete durable ledger.
+    pub log: ResponseLog,
+    /// The next solve's warm start (`None` after a quarantine revive).
+    pub warm: Option<WarmState>,
+}
+
+/// What [`SessionManager::checkout`] hands a worker: a live engine, or what
+/// an evicted session's engine is rebuilt from — work the worker does
+/// itself, outside any shared lock.
 pub enum Checkout {
     /// The resident engine, ready to serve (boxed: the enum is moved
-    /// around by value and the log variant is an order of magnitude
+    /// around by value and the other variants are an order of magnitude
     /// smaller).
     Live(Box<RankingEngine>),
-    /// The durable log; build with [`RankingEngine::from_log`] +
-    /// [`SessionManager::engine_opts`].
-    Rehydrate(ResponseLog),
-    /// A log just recovered from the durable store (snapshot + WAL-tail
-    /// replay): build like [`Checkout::Rehydrate`] and stamp the replay
-    /// cost with [`RankingEngine::record_wal_replay`].
+    /// An in-memory eviction; build with [`RankingEngine::rehydrate`]
+    /// (no WAL replay) and [`SessionManager::engine_opts`].
+    Rehydrate(Dormant),
+    /// A spilled session: load its log from the attached store
+    /// ([`SessionStore::load`]), then build like [`Checkout::Rehydrate`]
+    /// with the replayed WAL edit count. If the load fails, hand the warm
+    /// state back through [`SessionManager::abort_restore`].
     Restore {
-        /// The recovered ledger, positioned at the durable head.
-        log: ResponseLog,
-        /// WAL edits replayed on top of the snapshot to reach it.
-        replayed: u64,
+        /// The warm state kept in memory while the log was on disk.
+        warm: Option<WarmState>,
     },
+}
+
+impl Checkout {
+    /// `true` for a rebuild that carries no warm state: its first solve
+    /// runs cold (what the server's cold batch collects).
+    pub fn is_cold(&self) -> bool {
+        matches!(
+            self,
+            Checkout::Rehydrate(Dormant { warm: None, .. }) | Checkout::Restore { warm: None }
+        )
+    }
 }
 
 /// Counters describing fleet-level lifecycle events.
@@ -179,6 +207,10 @@ pub struct ManagerStats {
     /// Sessions loaded back from the store — snapshot + WAL-tail replay —
     /// on the first touch after a spill.
     pub restores: u64,
+    /// Rehydrations (in memory or from the store) that carried the
+    /// torn-down engine's [`WarmState`], so the first solve after the
+    /// rebuild warm-starts.
+    pub warm_restores: u64,
     /// Store operations (register, sync, spill, restore) that failed.
     /// Durability is best-effort from the serving path's view: a failed
     /// spill keeps the log resident, a failed sync is retried by the next
@@ -246,7 +278,7 @@ impl SessionManager {
             mgr.sessions.insert(
                 id,
                 SessionSlot {
-                    state: SessionState::Spilled,
+                    state: SessionState::Spilled(None),
                     last_touch: 0,
                 },
             );
@@ -265,7 +297,7 @@ impl SessionManager {
         for (&id, slot) in &self.sessions {
             let log = match &slot.state {
                 SessionState::Live(engine) => engine.log(),
-                SessionState::Evicted(log) => log,
+                SessionState::Evicted(dormant) => &dormant.log,
                 // Spilled is impossible without a store; a checked-out
                 // session syncs at its next commit.
                 _ => continue,
@@ -420,19 +452,32 @@ impl SessionManager {
         matches!(
             self.sessions.get(&id),
             Some(SessionSlot {
-                state: SessionState::Evicted(_) | SessionState::Spilled,
+                state: SessionState::Evicted(_) | SessionState::Spilled(_),
                 ..
             })
         )
     }
 
-    /// `true` when the session's only state is the attached store's
-    /// snapshot + WAL pair (nothing in memory at all).
+    /// `true` when the session's log lives only in the attached store's
+    /// snapshot + WAL pair (memory keeps at most its warm state).
     pub fn is_spilled(&self, id: SessionId) -> bool {
         matches!(
             self.sessions.get(&id),
             Some(SessionSlot {
-                state: SessionState::Spilled,
+                state: SessionState::Spilled(_),
+                ..
+            })
+        )
+    }
+
+    /// `true` when the session is evicted or spilled without warm state:
+    /// the first solve after its rebuild runs cold.
+    pub fn is_cold_evicted(&self, id: SessionId) -> bool {
+        matches!(
+            self.sessions.get(&id),
+            Some(SessionSlot {
+                state: SessionState::Evicted(Dormant { warm: None, .. })
+                    | SessionState::Spilled(None),
                 ..
             })
         )
@@ -443,7 +488,7 @@ impl SessionManager {
     /// export) that must not trigger an engine rehydration.
     pub fn evicted_log(&self, id: SessionId) -> Option<&ResponseLog> {
         match self.sessions.get(&id)?.state {
-            SessionState::Evicted(ref log) => Some(log),
+            SessionState::Evicted(ref dormant) => Some(&dormant.log),
             _ => None,
         }
     }
@@ -454,9 +499,9 @@ impl SessionManager {
     pub fn session_log(&self, id: SessionId) -> Option<ResponseLog> {
         match self.sessions.get(&id)?.state {
             SessionState::Live(ref engine) => Some(engine.log().clone()),
-            SessionState::Evicted(ref log) => Some(log.clone()),
+            SessionState::Evicted(ref dormant) => Some(dormant.log.clone()),
             // Read straight off disk without waking the session up.
-            SessionState::Spilled => self
+            SessionState::Spilled(_) => self
                 .store
                 .as_ref()
                 .and_then(|s| s.load(id).ok())
@@ -519,7 +564,7 @@ impl SessionManager {
 
     /// The current ranking of one session (cache hit, or incremental
     /// delta+warm solve). Rehydrates an evicted session first (that solve
-    /// runs cold — acceleration state is not durable).
+    /// warm-starts from the carried [`WarmState`] when there is one).
     pub fn current_ranking(&mut self, id: SessionId) -> Result<Ranking, SessionError> {
         let result = self
             .live_engine_mut(id)?
@@ -546,61 +591,55 @@ impl SessionManager {
         id: SessionId,
         now: u64,
     ) -> Result<&mut RankingEngine, SessionError> {
-        let store = self.store.clone();
-        let (rehydrated, restored) = {
-            let slot = self
-                .sessions
-                .get_mut(&id)
-                .ok_or(SessionError::Unknown(id))?;
+        let slot = self
+            .sessions
+            .get_mut(&id)
+            .ok_or(SessionError::Unknown(id))?;
+        if matches!(slot.state, SessionState::Live(_)) {
             slot.last_touch = now;
-            match slot.state {
-                SessionState::Live(_) => (false, false),
-                SessionState::Evicted(_) => {
-                    let SessionState::Evicted(log) =
-                        std::mem::replace(&mut slot.state, SessionState::CheckedOut)
-                    else {
-                        unreachable!()
-                    };
-                    let engine = RankingEngine::from_log(log, self.opts)
-                        .expect("rehydration from a previously valid log");
-                    slot.state = SessionState::Live(Box::new(engine));
-                    (true, false)
-                }
-                SessionState::Spilled => {
-                    // Unrecoverable durable state degrades to a typed
-                    // error; the slot stays spilled so a later repair of
-                    // the files can still revive the session.
-                    let loaded = store
-                        .as_ref()
-                        .expect("spilled session without an attached store")
-                        .load(id);
-                    let (log, report) = match loaded {
-                        Ok(ok) => ok,
-                        Err(e) => {
-                            self.stats.store_errors += 1;
-                            return Err(SessionError::Store(e.to_string()));
-                        }
-                    };
-                    let mut engine = RankingEngine::from_log(log, self.opts)
-                        .expect("rehydration from a previously valid log");
-                    engine.record_wal_replay(report.replayed_edits);
-                    slot.state = SessionState::Live(Box::new(engine));
-                    (true, true)
-                }
-                SessionState::CheckedOut => return Err(SessionError::CheckedOut(id)),
-                SessionState::Quarantined(_) => return Err(SessionError::Quarantined(id)),
-            }
-        };
-        if rehydrated {
-            self.stats.rehydrations += 1;
-        }
-        if restored {
-            self.stats.restores += 1;
+        } else {
+            // Unrecoverable durable state degrades to a typed error; the
+            // slot stays spilled so a later repair of the files can still
+            // revive the session.
+            let checkout = self.checkout_at(id, now)?;
+            let engine = self.build_engine(id, checkout)?;
+            self.sessions.get_mut(&id).expect("slot exists").state =
+                SessionState::Live(Box::new(engine));
         }
         match self.sessions.get_mut(&id).expect("slot exists").state {
             SessionState::Live(ref mut engine) => Ok(engine),
             _ => unreachable!("slot was made live above"),
         }
+    }
+
+    /// Turns a checkout into an engine on the calling thread: the store
+    /// load of a [`Checkout::Restore`] (a failure goes through
+    /// [`Self::abort_restore`]), then [`RankingEngine::rehydrate`].
+    fn build_engine(
+        &mut self,
+        id: SessionId,
+        checkout: Checkout,
+    ) -> Result<RankingEngine, SessionError> {
+        let (log, replayed, warm) = match checkout {
+            Checkout::Live(engine) => return Ok(*engine),
+            Checkout::Rehydrate(Dormant { log, warm }) => (log, 0, warm),
+            Checkout::Restore { warm } => {
+                let loaded = self
+                    .store
+                    .as_ref()
+                    .expect("spilled session without an attached store")
+                    .load(id);
+                match loaded {
+                    Ok((log, report)) => (log, report.replayed_edits, warm),
+                    Err(e) => {
+                        self.abort_restore(id, warm);
+                        return Err(SessionError::Store(e.to_string()));
+                    }
+                }
+            }
+        };
+        Ok(RankingEngine::rehydrate(log, self.opts, replayed, warm)
+            .expect("rehydration from a previously valid log"))
     }
 
     /// Moves a session's engine out of its slot (rehydrating first if
@@ -612,37 +651,29 @@ impl SessionManager {
     /// [`SessionError::Quarantined`], or [`SessionError::Store`] when a
     /// spilled session's durable state cannot be loaded.
     pub fn take_engine(&mut self, id: SessionId) -> Result<RankingEngine, SessionError> {
-        let opts = self.opts;
-        Ok(match self.checkout(id)? {
-            Checkout::Live(engine) => *engine,
-            Checkout::Rehydrate(log) => {
-                RankingEngine::from_log(log, opts).expect("rehydration from a previously valid log")
-            }
-            Checkout::Restore { log, replayed } => {
-                let mut engine = RankingEngine::from_log(log, opts)
-                    .expect("rehydration from a previously valid log");
-                engine.record_wal_replay(replayed);
-                engine
-            }
-        })
+        let checkout = self.checkout(id)?;
+        self.build_engine(id, checkout)
     }
 
     /// The lock-friendly checkout: like [`Self::take_engine`] but hands an
-    /// evicted session's *log* back instead of rebuilding the engine, so a
-    /// concurrent server can do the `O(nnz)` rehydration **outside** its
-    /// global lock (build via [`RankingEngine::from_log`] with
-    /// [`Self::engine_opts`], then [`Self::put_engine`] as usual). The
-    /// rehydration is counted here — taking the log commits the caller to
-    /// the rebuild.
+    /// evicted session's rebuild inputs back instead of the engine, so a
+    /// concurrent server can do the `O(nnz)` work — the store load of a
+    /// spilled session and the engine build — **outside** its global lock
+    /// (see [`Checkout`]; then [`Self::put_engine`] as usual). The
+    /// rehydration is counted here: taking the checkout commits the caller
+    /// to the rebuild, and [`Self::abort_restore`] withdraws a restore
+    /// whose load failed.
     ///
     /// # Errors
-    /// [`SessionError::Unknown`], [`SessionError::CheckedOut`],
-    /// [`SessionError::Quarantined`], or [`SessionError::Store`] when a
-    /// spilled session's durable state cannot be loaded (the slot stays
-    /// spilled; a later repair of the files can still revive it).
+    /// [`SessionError::Unknown`], [`SessionError::CheckedOut`], or
+    /// [`SessionError::Quarantined`].
     pub fn checkout(&mut self, id: SessionId) -> Result<Checkout, SessionError> {
         let now = self.tick();
-        let store = self.store.clone();
+        self.checkout_at(id, now)
+    }
+
+    /// [`Self::checkout`] at an explicit clock reading.
+    fn checkout_at(&mut self, id: SessionId, now: u64) -> Result<Checkout, SessionError> {
         let slot = self
             .sessions
             .get_mut(&id)
@@ -654,36 +685,38 @@ impl SessionManager {
             return Err(SessionError::Quarantined(id));
         }
         slot.last_touch = now;
-        match std::mem::replace(&mut slot.state, SessionState::CheckedOut) {
-            SessionState::Live(engine) => Ok(Checkout::Live(engine)),
-            SessionState::Evicted(log) => {
-                self.stats.rehydrations += 1;
-                Ok(Checkout::Rehydrate(log))
-            }
-            SessionState::Spilled => {
-                let store = store.expect("spilled session without an attached store");
-                match store.load(id) {
-                    Ok((log, report)) => {
-                        self.stats.rehydrations += 1;
-                        self.stats.restores += 1;
-                        Ok(Checkout::Restore {
-                            log,
-                            replayed: report.replayed_edits,
-                        })
-                    }
-                    Err(e) => {
-                        // Unrecoverable durable state: the slot stays
-                        // spilled (a later repair of the files can still
-                        // revive it) and the caller sees the failure.
-                        self.stats.store_errors += 1;
-                        self.sessions.get_mut(&id).expect("slot exists").state =
-                            SessionState::Spilled;
-                        Err(SessionError::Store(e.to_string()))
-                    }
-                }
+        let checkout = match std::mem::replace(&mut slot.state, SessionState::CheckedOut) {
+            SessionState::Live(engine) => return Ok(Checkout::Live(engine)),
+            SessionState::Evicted(dormant) => Checkout::Rehydrate(dormant),
+            SessionState::Spilled(warm) => {
+                self.stats.restores += 1;
+                Checkout::Restore { warm }
             }
             SessionState::CheckedOut | SessionState::Quarantined(_) => {
                 unreachable!("rejected above")
+            }
+        };
+        self.stats.rehydrations += 1;
+        if !checkout.is_cold() {
+            self.stats.warm_restores += 1;
+        }
+        Ok(checkout)
+    }
+
+    /// Hands back a [`Checkout::Restore`] whose store load failed: the
+    /// slot returns to spilled with its warm state (a later repair of the
+    /// files can still revive it), the counts taken at checkout are
+    /// withdrawn, and the failure lands in [`ManagerStats::store_errors`].
+    pub fn abort_restore(&mut self, id: SessionId, warm: Option<WarmState>) {
+        self.stats.store_errors += 1;
+        self.stats.rehydrations = self.stats.rehydrations.saturating_sub(1);
+        self.stats.restores = self.stats.restores.saturating_sub(1);
+        if warm.is_some() {
+            self.stats.warm_restores = self.stats.warm_restores.saturating_sub(1);
+        }
+        if let Some(slot) = self.sessions.get_mut(&id) {
+            if matches!(slot.state, SessionState::CheckedOut) {
+                slot.state = SessionState::Spilled(warm);
             }
         }
     }
@@ -696,7 +729,7 @@ impl SessionManager {
     }
 
     /// The engine configuration every session uses (what a
-    /// [`Checkout::Rehydrate`] caller builds with).
+    /// [`Checkout`] caller rebuilds with).
     pub fn engine_opts(&self) -> EngineOpts {
         self.opts
     }
@@ -774,7 +807,8 @@ impl SessionManager {
 
     /// Rebuilds a quarantined session's slot from its preserved state —
     /// the salvaged ledger, or the attached store's snapshot + WAL pair —
-    /// leaving it evicted (the next touch rehydrates and solves cold).
+    /// leaving it evicted without warm state (the next touch rehydrates
+    /// and solves cold: nothing of the poisoned engine is reused).
     /// Returns the recovered version.
     ///
     /// # Errors
@@ -815,7 +849,8 @@ impl SessionManager {
             },
         };
         let version = log.version();
-        self.sessions.get_mut(&id).expect("slot exists").state = SessionState::Evicted(log);
+        self.sessions.get_mut(&id).expect("slot exists").state =
+            SessionState::Evicted(Dormant { log, warm: None });
         self.stats.revivals += 1;
         Ok(version)
     }
@@ -861,8 +896,9 @@ impl SessionManager {
         idle
     }
 
-    /// Tears one live session down to its durable log immediately;
-    /// `false` for unknown, already-evicted, or checked-out sessions.
+    /// Tears one live session down to its durable log and warm state
+    /// immediately ([`RankingEngine::into_parts`]); `false` for unknown,
+    /// already-evicted, or checked-out sessions.
     pub fn evict_session(&mut self, id: SessionId) -> bool {
         let store = self.store.clone();
         let Some(slot) = self.sessions.get_mut(&id) else {
@@ -877,31 +913,30 @@ impl SessionManager {
             unreachable!()
         };
         self.retired_stats.absorb(&engine.stats());
-        let log = engine.into_log();
-        match &store {
+        let (log, warm) = engine.into_parts();
+        let state = match &store {
             // Spill: WAL tail shipped and fsynced, then the log leaves
-            // memory entirely — the store is the session now.
+            // memory — the store is the session now, plus the warm state.
             Some(store) if store.spill(id, &log).is_ok() => {
-                self.sessions.get_mut(&id).expect("slot exists").state = SessionState::Spilled;
                 self.stats.spills += 1;
+                SessionState::Spilled(warm)
             }
             // Spill failed: keep the log resident rather than lose
             // committed state (count the failure, stay serving).
             Some(_) => {
-                self.sessions.get_mut(&id).expect("slot exists").state = SessionState::Evicted(log);
                 self.stats.store_errors += 1;
+                SessionState::Evicted(Dormant { log, warm })
             }
-            None => {
-                self.sessions.get_mut(&id).expect("slot exists").state = SessionState::Evicted(log);
-            }
-        }
+            None => SessionState::Evicted(Dormant { log, warm }),
+        };
+        self.sessions.get_mut(&id).expect("slot exists").state = state;
         self.stats.evictions += 1;
         true
     }
 
     /// Refreshes every out-of-date live session; returns `(id, result)`
     /// pairs for the sessions that actually solved, in ascending id order.
-    /// Evicted sessions are left cold (their next touch both rehydrates
+    /// Evicted sessions are left alone (their next touch both rehydrates
     /// and solves); checked-out sessions belong to their worker.
     ///
     /// Warm sessions take their own incremental path; cold sessions are

@@ -4,12 +4,18 @@
 //! never rebuild the full CSR — the latter enforced both by the engine's
 //! rebuild counter and by a byte-counting global allocator that bounds the
 //! incremental path's allocations far below the pattern's size.
+//!
+//! The allocator counts every thread of the process, so each test holds
+//! [`serial`] for its whole body: tests of this file running on parallel
+//! harness threads would otherwise charge their allocations to whichever
+//! test is measuring.
 
 use hnd_service::{EngineOpts, RankingEngine, SolverKind, SolverOpts};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard};
 
 struct CountingAllocator;
 
@@ -36,6 +42,13 @@ static GLOBAL: CountingAllocator = CountingAllocator;
 
 fn allocated_bytes() -> u64 {
     BYTES.load(Ordering::Relaxed)
+}
+
+/// Serializes this file's tests (see the module docs). A test that failed
+/// while holding the lock poisons it; the others still run.
+fn serial() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
 /// A seeded IRT instance bulk-loaded into an engine.
@@ -95,6 +108,7 @@ fn small_delta(engine: &RankingEngine, count: usize) -> Vec<(usize, usize, Optio
 
 #[test]
 fn warm_solve_after_small_delta_matches_cold_and_iterates_less() {
+    let _serial = serial();
     let (mut engine, _k) = seeded_engine(400, 60, unoriented_opts());
     engine.current_ranking().unwrap();
 
@@ -149,6 +163,7 @@ fn warm_solve_after_small_delta_matches_cold_and_iterates_less() {
 
 #[test]
 fn incremental_path_never_rebuilds_the_csr() {
+    let _serial = serial();
     let m = 800;
     let n = 80;
     let (mut engine, _k) = seeded_engine(m, n, unoriented_opts());
@@ -196,6 +211,7 @@ fn incremental_path_never_rebuilds_the_csr() {
 
 #[test]
 fn zero_slack_engine_still_serves_correctly_via_rebuilds() {
+    let _serial = serial();
     // The rebuild fallback is exercised (and counted) when slack is off.
     let opts = EngineOpts {
         row_slack: 0,

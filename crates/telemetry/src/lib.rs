@@ -98,6 +98,9 @@ impl Stage {
     }
 }
 
+/// Number of [`Counter`] variants.
+const COUNTERS: usize = 9;
+
 /// Hub-level counters (everything else comes from the layer stats structs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Counter {
@@ -117,10 +120,13 @@ pub enum Counter {
     CommandsExpired,
     /// Sessions quarantined after a panic during command execution.
     SessionsQuarantined,
+    /// Rehydrations and restores that installed the session's carried
+    /// warm state (the `warm` flag of a [`EventKind::Checkout`]).
+    WarmCheckouts,
 }
 
 impl Counter {
-    const ALL: [Counter; 8] = [
+    const ALL: [Counter; COUNTERS] = [
         Counter::CommandsEnqueued,
         Counter::RepliesOk,
         Counter::RepliesErr,
@@ -129,6 +135,7 @@ impl Counter {
         Counter::CommandsShed,
         Counter::CommandsExpired,
         Counter::SessionsQuarantined,
+        Counter::WarmCheckouts,
     ];
 
     /// Stable snake_case name (text-exposition key suffix).
@@ -142,6 +149,7 @@ impl Counter {
             Counter::CommandsShed => "commands_shed",
             Counter::CommandsExpired => "commands_expired",
             Counter::SessionsQuarantined => "sessions_quarantined",
+            Counter::WarmCheckouts => "warm_checkouts",
         }
     }
 }
@@ -154,7 +162,7 @@ pub struct TelemetryHub {
     enabled: bool,
     epoch: Instant,
     stages: [LatencyHistogram; 8],
-    counters: [AtomicU64; 8],
+    counters: [AtomicU64; COUNTERS],
     rings: Vec<Mutex<EventRing>>,
     seq: AtomicU64,
     last_error: Mutex<Option<TraceDump>>,

@@ -125,6 +125,9 @@ pub enum EventKind {
         kind: CheckoutKind,
         /// WAL edits replayed (restore only).
         replayed: u64,
+        /// The rebuild installed the session's carried warm state, so its
+        /// first solve warm-starts (always `false` for a live checkout).
+        warm: bool,
     },
     /// A delta was patched into the kernel context in place.
     Patch {
@@ -349,9 +352,14 @@ impl Serialize for TraceEvent {
                 fields.push(("cmd".into(), Value::String(cmd.name().into())));
                 fields.push(("dwell_ns".into(), int(dwell_ns)));
             }
-            EventKind::Checkout { kind, replayed } => {
+            EventKind::Checkout {
+                kind,
+                replayed,
+                warm,
+            } => {
                 fields.push(("kind".into(), Value::String(kind.name().into())));
                 fields.push(("replayed".into(), int(replayed)));
+                fields.push(("warm".into(), Value::Bool(warm)));
             }
             EventKind::Patch { sparse_edits, ns } => {
                 fields.push(("sparse_edits".into(), int(u64::from(sparse_edits))));
