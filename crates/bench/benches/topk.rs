@@ -15,6 +15,9 @@
 //! record `skip_fraction` — the share of measured queries served without
 //! a solve — so the artifact shows *why* the latency is what it is.
 //!
+//! The `read_repeat` rows price a read-heavy round at one tier: a wave,
+//! then one `top_k(10)` and four `rank_of` (see [`bench_read_repeat`]).
+//!
 //! Set `HND_BENCH_QUICK=1` to restrict to the smallest roster (CI smoke);
 //! set `BENCH_JSON=path.json` to emit `BENCH_topk.json`.
 
@@ -250,5 +253,47 @@ fn bench_topk(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_topk);
+/// Read-heavy rounds: one wave, then one `top_k(10)` and four `rank_of`
+/// of pseudo-random users, all at one tier. A certified round solves
+/// (or skips) for the head, solves once more for the first full-ranking
+/// read, and serves the other three reads from that same-version solve;
+/// an exact round solves once and serves every read from the cache. The
+/// certified/exact ratio is what the CI pair gate bounds.
+fn bench_read_repeat(c: &mut Criterion) {
+    let mut group = c.benchmark_group("topk");
+    group.sample_size(10);
+    group.measurement_time(std::time::Duration::from_secs(3));
+    group.warm_up_time(std::time::Duration::from_millis(300));
+    let ms: &[usize] = if quick() { &[2_000] } else { &[10_000, 50_000] };
+    for &m in ms {
+        for tier in [QueryTier::Exact, QueryTier::Certified] {
+            let mut engine = fresh_engine(m);
+            engine.top_k_tier(10, tier).unwrap();
+            let id = format!("{}_m{m}", tier_name(tier));
+            // Salted apart from the `wave_query` streams.
+            let salt = 1u64 << 50;
+            let mut round = 0u64;
+            group.bench_with_input(BenchmarkId::new("read_repeat", &id), &m, |b, &m| {
+                b.iter(|| {
+                    round += 1;
+                    engine
+                        .submit_responses([wave_edit(m, salt | round)])
+                        .unwrap();
+                    let head = engine.top_k_tier(10, tier).unwrap();
+                    let mut state = round;
+                    let ranks: usize = (0..4)
+                        .map(|_| {
+                            let user = (lcg(&mut state) as usize) % m;
+                            engine.rank_of_tier(user, tier).unwrap()
+                        })
+                        .sum();
+                    (head, ranks)
+                });
+            });
+        }
+    }
+    group.finish();
+}
+
+criterion_group!(benches, bench_topk, bench_read_repeat);
 hnd_bench::bench_main!(benches);

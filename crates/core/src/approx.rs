@@ -34,14 +34,17 @@
 
 use crate::solver::Target;
 use hnd_linalg::op::LinearOp;
-use hnd_linalg::power::{deterministic_start, PowerOptions, PowerOutcome};
+use hnd_linalg::power::{deterministic_start, last_step_rayleigh, PowerOptions, PowerOutcome};
 use hnd_linalg::vector;
+use hnd_response::order::{best_first_keys, key_user, sort_extremes};
 
 /// Certification cadence: windows of this many iterations separate
 /// consecutive envelope measurements. Small enough to stop within a few
 /// iterations of the earliest certifiable point, large enough that the
-/// per-window rate estimate is stable and the check cost (an `O(m log m)`
-/// sort for top-k) stays negligible next to `CHECK_EVERY` kernel applies.
+/// per-window rate estimate is stable and the check cost (`O(m)` envelope
+/// work plus, for top-k, an `O(m)` selection of the two extremes and an
+/// `O(k log k)` sort of them) stays negligible next to `CHECK_EVERY`
+/// kernel applies.
 pub const CHECK_EVERY: usize = 8;
 
 /// Multiplier on the geometric-tail envelope, absorbing pre-asymptotic
@@ -108,8 +111,8 @@ struct Guard {
     scores: Vec<f64>,
     /// Scratch: per-entry envelope.
     eps: Vec<f64>,
-    /// Scratch: sort permutation for top-k gap checks.
-    order: Vec<usize>,
+    /// Scratch: packed best-first keys for top-k gap checks.
+    keys: Vec<u128>,
 }
 
 impl Guard {
@@ -121,7 +124,7 @@ impl Guard {
             prev_change: None,
             scores: Vec::new(),
             eps: Vec::new(),
-            order: Vec::new(),
+            keys: Vec::new(),
         }
     }
 
@@ -144,7 +147,6 @@ impl Guard {
     /// certificate fired, `None` otherwise.
     fn check(&mut self, x: &[f64]) -> Option<(f64, f64)> {
         self.snapshot(x);
-        let m = self.scores.len();
         let (Some(prev), prev_change) = (self.prev_scores.as_mut(), self.prev_change) else {
             self.prev_scores = Some(self.scores.clone());
             return None;
@@ -189,44 +191,60 @@ impl Guard {
         let certified = match self.target {
             Target::Exact => false,
             Target::RankStable { tol } => self.eps.iter().all(|&e| e <= tol),
-            Target::TopK { k, margin } => self.topk_certified(m, k, margin),
+            Target::TopK { k, margin } => {
+                topk_gaps_certified(&self.scores, &self.eps, k, margin, &mut self.keys)
+            }
         };
         certified.then(|| (rho, self.eps.iter().fold(0.0f64, |a, &e| a.max(e))))
     }
+}
 
-    /// Top-k certificate: the `k` leading adjacent gaps of the sorted
-    /// score vector — at both extremes of the ordering — must each exceed
-    /// [`CERT_HEADROOM`] times the two entries' envelopes plus `margin`.
-    ///
-    /// The headroom factor makes the certificate fire with *resolution to
-    /// spare* rather than exactly at the decision threshold. Without it, a
-    /// wide-margin top-k (a leaderboard with a score desert at the
-    /// boundary) certifies at the earliest possible check with an error
-    /// envelope nearly as large as the gap itself — sound for this one
-    /// answer, but useless as an anchor for anything downstream that must
-    /// reason about the scores' resolution (the serving layer's
-    /// delta-skip bounds budget a noise band of a few envelopes on top of
-    /// wave-movement bounds). The cost is a handful of extra iteration
-    /// blocks while the envelope contracts geometrically; the recorded
-    /// [`GuardedOutcome::error_bound`] shrinks by the same factor.
-    fn topk_certified(&mut self, m: usize, k: usize, margin: f64) -> bool {
-        if k == 0 || k >= m {
-            return false; // a full-ranking request is not a top-k request
-        }
-        self.order.clear();
-        self.order.extend(0..m);
-        let scores = &self.scores;
-        self.order
-            .sort_unstable_by(|&a, &b| scores[b].partial_cmp(&scores[a]).unwrap().then(a.cmp(&b)));
-        let gap_ok = |hi: usize, lo: usize| -> bool {
-            let a = self.order[hi];
-            let b = self.order[lo];
-            self.scores[a] - self.scores[b] > CERT_HEADROOM * (self.eps[a] + self.eps[b]) + margin
-        };
-        // Head pairs (positions 0..k) and the mirrored tail pairs: after
-        // orientation the served "top k" may be either extreme.
-        (0..k).all(|i| gap_ok(i, i + 1)) && (0..k).all(|i| gap_ok(m - 2 - i, m - 1 - i))
+/// Top-k certificate: the `k` leading adjacent gaps of the sorted
+/// score vector — at both extremes of the ordering — must each exceed
+/// [`CERT_HEADROOM`] times the two entries' envelopes plus `margin`.
+///
+/// The headroom factor makes the certificate fire with *resolution to
+/// spare* rather than exactly at the decision threshold. Without it, a
+/// wide-margin top-k (a leaderboard with a score desert at the
+/// boundary) certifies at the earliest possible check with an error
+/// envelope nearly as large as the gap itself — sound for this one
+/// answer, but useless as an anchor for anything downstream that must
+/// reason about the scores' resolution (the serving layer's
+/// delta-skip bounds budget a noise band of a few envelopes on top of
+/// wave-movement bounds). The cost is a handful of extra iteration
+/// blocks while the envelope contracts geometrically; the recorded
+/// [`GuardedOutcome::error_bound`] shrinks by the same factor.
+///
+/// Only positions `0..=k` and `m−k−1..m` of the best-first order are
+/// read, so the k+1 best and k+1 worst are selected and sorted, not the
+/// whole roster; those positions equal a full sort's exactly. A NaN
+/// score has no order and never certifies.
+///
+/// `keys` is reusable scratch (the guard's, so a check allocates nothing
+/// after the first).
+fn topk_gaps_certified(
+    scores: &[f64],
+    eps: &[f64],
+    k: usize,
+    margin: f64,
+    keys: &mut Vec<u128>,
+) -> bool {
+    let m = scores.len();
+    if k == 0 || k >= m {
+        return false; // a full-ranking request is not a top-k request
     }
+    if !best_first_keys(scores, keys) {
+        return false; // NaN: no order to certify
+    }
+    sort_extremes(keys, k + 1, k + 1);
+    let gap_ok = |hi: usize, lo: usize| -> bool {
+        let a = key_user(keys[hi]);
+        let b = key_user(keys[lo]);
+        scores[a] - scores[b] > CERT_HEADROOM * (eps[a] + eps[b]) + margin
+    };
+    // Head pairs (positions 0..k) and the mirrored tail pairs: after
+    // orientation the served "top k" may be either extreme.
+    (0..k).all(|i| gap_ok(i, i + 1)) && (0..k).all(|i| gap_ok(m - 2 - i, m - 1 - i))
 }
 
 /// Power iteration honoring an approximation [`Target`].
@@ -263,10 +281,13 @@ pub fn guarded_power_iteration(
     let mut early_terminated = false;
     let mut iterations_saved = 0;
     let mut error_bound = None;
+    let mut last_norm = None;
     while iterations < opts.max_iter {
         op.apply(&x, &mut y);
         iterations += 1;
-        if vector::normalize(&mut y) == 0.0 {
+        let norm = vector::normalize(&mut y);
+        last_norm = Some(norm);
+        if norm == 0.0 {
             break;
         }
         let delta = vector::sign_invariant_distance(&x, &y);
@@ -293,8 +314,7 @@ pub fn guarded_power_iteration(
             }
         }
     }
-    op.apply(&x, &mut y);
-    let eigenvalue = vector::dot(&x, &y);
+    let eigenvalue = last_step_rayleigh(op, &x, &mut y, last_norm);
     GuardedOutcome {
         power: PowerOutcome {
             vector: x,
@@ -313,6 +333,7 @@ mod tests {
     use super::*;
     use hnd_linalg::dense::DenseMatrix;
     use hnd_linalg::op::DenseOp;
+    use proptest::prelude::*;
 
     fn diag(entries: &[f64]) -> DenseMatrix {
         let n = entries.len();
@@ -468,5 +489,63 @@ mod tests {
             ScoreMap::Identity,
         );
         assert!(!guarded.early_terminated);
+    }
+
+    /// The certificate as it read before selection: a full comparator
+    /// sort of the roster.
+    fn topk_gaps_full_sort(scores: &[f64], eps: &[f64], k: usize, margin: f64) -> bool {
+        let m = scores.len();
+        if k == 0 || k >= m {
+            return false;
+        }
+        let mut order: Vec<usize> = (0..m).collect();
+        order.sort_unstable_by(|&a, &b| scores[b].partial_cmp(&scores[a]).unwrap().then(a.cmp(&b)));
+        let gap_ok = |hi: usize, lo: usize| -> bool {
+            let (a, b) = (order[hi], order[lo]);
+            scores[a] - scores[b] > CERT_HEADROOM * (eps[a] + eps[b]) + margin
+        };
+        (0..k).all(|i| gap_ok(i, i + 1)) && (0..k).all(|i| gap_ok(m - 2 - i, m - 1 - i))
+    }
+
+    /// Tie-heavy palette with both signed zeros and subnormals.
+    const PALETTE: [f64; 9] = [-1.0, -0.25, -5e-324, -0.0, 0.0, 5e-324, 0.125, 0.5, 1.0];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn topk_selection_matches_the_full_sort(
+            (scores, eps, k) in (2usize..40, 0usize..3).prop_flat_map(|(m, style)| {
+                (
+                    proptest::collection::vec(0usize..1000, m),
+                    proptest::collection::vec(0.0f64..1e-3, m),
+                    0usize..=m,
+                )
+                    .prop_map(move |(raw, eps, k)| {
+                        let scores: Vec<f64> = raw
+                            .iter()
+                            .map(|&r| match style {
+                                0 => PALETTE[r % PALETTE.len()],
+                                1 => (r % 7) as f64 * 0.1,
+                                _ => r as f64 / 1000.0 - 0.5,
+                            })
+                            .collect();
+                        (scores, eps, k)
+                    })
+            }),
+            margin in 0.0f64..0.01,
+        ) {
+            let mut keys = Vec::new();
+            let zero = vec![0.0; scores.len()];
+            for k in [k, scores.len() / 2, scores.len().saturating_sub(1) / 2, 1] {
+                for (e, mg) in [(&eps, margin), (&zero, 0.0)] {
+                    prop_assert_eq!(
+                        topk_gaps_certified(&scores, e, k, mg, &mut keys),
+                        topk_gaps_full_sort(&scores, e, k, mg),
+                        "k {} of m {}", k, scores.len()
+                    );
+                }
+            }
+        }
     }
 }

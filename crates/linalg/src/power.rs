@@ -33,7 +33,8 @@ impl Default for PowerOptions {
 pub struct PowerOutcome {
     /// Unit-norm dominant eigenvector estimate.
     pub vector: Vec<f64>,
-    /// Rayleigh-quotient estimate of the dominant eigenvalue.
+    /// Rayleigh-quotient estimate of the dominant eigenvalue, taken at the
+    /// second-to-last iterate (see [`last_step_rayleigh`]).
     pub eigenvalue: f64,
     /// Iterations actually performed.
     pub iterations: usize,
@@ -45,10 +46,10 @@ pub struct PowerOutcome {
 ///
 /// The starting vector is normalized internally; if it is zero, a
 /// deterministic pseudo-random vector is used instead so the method is
-/// usable without an RNG. The returned eigenvalue is the Rayleigh quotient
-/// `xᵀAx / xᵀx`, which for the asymmetric update matrices of the paper is an
-/// estimate (the *ordering* of the converged vector is what the callers
-/// consume).
+/// usable without an RNG. The returned eigenvalue is a Rayleigh quotient
+/// read off the last step ([`last_step_rayleigh`]), which for the
+/// asymmetric update matrices of the paper is an estimate (the *ordering*
+/// of the converged vector is what the callers consume).
 pub fn power_iteration(op: &dyn LinearOp, x0: &[f64], opts: &PowerOptions) -> PowerOutcome {
     let n = op.dim();
     assert_eq!(x0.len(), n, "power_iteration: x0 length mismatch");
@@ -60,10 +61,13 @@ pub fn power_iteration(op: &dyn LinearOp, x0: &[f64], opts: &PowerOptions) -> Po
     let mut y = vec![0.0; n];
     let mut iterations = 0;
     let mut converged = false;
+    let mut last_norm = None;
     while iterations < opts.max_iter {
         op.apply(&x, &mut y);
         iterations += 1;
-        if vector::normalize(&mut y) == 0.0 {
+        let norm = vector::normalize(&mut y);
+        last_norm = Some(norm);
+        if norm == 0.0 {
             // x is (numerically) in the null space; the zero vector is a
             // fixed point — report non-convergence with the last iterate.
             break;
@@ -75,15 +79,38 @@ pub fn power_iteration(op: &dyn LinearOp, x0: &[f64], opts: &PowerOptions) -> Po
             break;
         }
     }
-    // Rayleigh quotient from the existing scratch vector — the driver
-    // performs no allocation after its two up-front buffers.
-    op.apply(&x, &mut y);
-    let eigenvalue = vector::dot(&x, &y);
+    let eigenvalue = last_step_rayleigh(op, &x, &mut y, last_norm);
     PowerOutcome {
         vector: x,
         eigenvalue,
         iterations,
         converged,
+    }
+}
+
+/// The eigenvalue estimate of a finished power loop, without a further
+/// operator apply.
+///
+/// After a step `x_k = A x_{k-1} / ‖A x_{k-1}‖` with unit `x_{k-1}`, the
+/// Rayleigh quotient of `x_{k-1}` is `‖A x_{k-1}‖ · x_{k-1}ᵀ x_k`: the
+/// step's norm (`last_norm`) times the dot of the two iterates the loop
+/// still holds (`x` = `x_k`, `prev` = `x_{k-1}` after the final swap). A
+/// step that hit the null space has quotient 0. Only a loop that ran no
+/// step at all (a zero iteration budget) pays an apply, into `prev` as
+/// scratch.
+pub fn last_step_rayleigh(
+    op: &dyn LinearOp,
+    x: &[f64],
+    prev: &mut [f64],
+    last_norm: Option<f64>,
+) -> f64 {
+    match last_norm {
+        Some(0.0) => 0.0,
+        Some(norm) => norm * vector::dot(prev, x),
+        None => {
+            op.apply(x, prev);
+            vector::dot(x, prev)
+        }
     }
 }
 

@@ -26,6 +26,7 @@ mod connectivity;
 pub mod log;
 mod matrix;
 pub mod ops;
+pub mod order;
 pub mod orientation;
 mod ranking;
 

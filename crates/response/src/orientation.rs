@@ -6,31 +6,44 @@
 //! of chosen options), weak users answer closer to uniformly (high entropy).
 //! Compare the average per-item choice entropy of the top and bottom user
 //! *deciles* and put the lower-entropy decile on top.
+//!
+//! The rule runs after every solve, so it is kept `O(m)`: the deciles are
+//! selected, not sorted out of the roster, and their choice counts come
+//! from one pass over the deciles' rows.
 
+use crate::order::{best_first_keys, key_user};
 use crate::{Ranking, ResponseMatrix};
 
 /// Average (over items) Shannon entropy of the option choices made by the
 /// given users. Items none of the users answered are skipped; natural log.
 pub fn group_choice_entropy(matrix: &ResponseMatrix, users: &[usize]) -> f64 {
-    let mut total = 0.0;
-    let mut counted_items = 0usize;
-    let mut counts: Vec<usize> = Vec::new();
-    for item in 0..matrix.n_items() {
-        let k = matrix.options_of(item) as usize;
-        counts.clear();
-        counts.resize(k, 0);
-        let mut answered = 0usize;
-        for &u in users {
-            if let Some(opt) = matrix.choice(u, item) {
-                counts[opt as usize] += 1;
-                answered += 1;
+    choice_entropy(matrix, users.iter().copied())
+}
+
+/// [`group_choice_entropy`] over any user sequence. The per-option counts
+/// come from one pass over the users' rows (row-major, so each user is one
+/// contiguous read); they are integers, so the visiting order cannot
+/// change the result.
+fn choice_entropy(matrix: &ResponseMatrix, users: impl IntoIterator<Item = usize>) -> f64 {
+    let mut counts = vec![0usize; matrix.total_options()];
+    for u in users {
+        for (item, &cell) in matrix.user_row(u).iter().enumerate() {
+            if let Some(opt) = cell {
+                counts[matrix.one_hot_column(item, opt)] += 1;
             }
         }
+    }
+    let mut total = 0.0;
+    let mut counted_items = 0usize;
+    for item in 0..matrix.n_items() {
+        let first = matrix.one_hot_column(item, 0);
+        let counts = &counts[first..first + matrix.options_of(item) as usize];
+        let answered: usize = counts.iter().sum();
         if answered == 0 {
             continue;
         }
         let mut h = 0.0;
-        for &c in &counts {
+        for &c in counts {
             if c > 0 {
                 let p = c as f64 / answered as f64;
                 h -= p * p.ln();
@@ -49,17 +62,29 @@ pub fn group_choice_entropy(matrix: &ResponseMatrix, users: &[usize]) -> f64 {
 /// Applies the decile-entropy rule to `ranking`, reversing it in place when
 /// the current top decile has *higher* entropy than the bottom decile.
 /// Returns `true` if the ranking was reversed.
+///
+/// The deciles are the first and last `max(m/10, 1)` users of the
+/// best-first order (score descending, index ascending). Only their
+/// membership matters, so each is found by selection on packed
+/// [`crate::order`] keys in `O(m)`, not by sorting the roster.
+///
+/// # Panics
+/// On a NaN score (no best-first order), like
+/// [`Ranking::order_best_to_worst`].
 pub fn orient_by_decile_entropy(matrix: &ResponseMatrix, ranking: &mut Ranking) -> bool {
     let m = matrix.n_users();
     if m < 2 {
         return false;
     }
     let decile = (m / 10).max(1);
-    let order = ranking.order_best_to_worst();
-    let top = &order[..decile];
-    let bottom = &order[m - decile..];
-    let top_entropy = group_choice_entropy(matrix, top);
-    let bottom_entropy = group_choice_entropy(matrix, bottom);
+    let mut keys = Vec::new();
+    assert!(best_first_keys(&ranking.scores, &mut keys), "NaN score");
+    keys.select_nth_unstable(decile - 1);
+    let (top, rest) = keys.split_at_mut(decile);
+    let cut = rest.len() - decile;
+    rest.select_nth_unstable(cut);
+    let top_entropy = choice_entropy(matrix, top.iter().map(|&k| key_user(k)));
+    let bottom_entropy = choice_entropy(matrix, rest[cut..].iter().map(|&k| key_user(k)));
     if top_entropy > bottom_entropy {
         ranking.reverse();
         true

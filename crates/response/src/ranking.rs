@@ -60,15 +60,15 @@ impl Ranking {
 
     /// User indices sorted from best (highest score) to worst. Ties break by
     /// user index, so results are deterministic.
+    ///
+    /// # Panics
+    /// On a NaN score among two or more users (no total order).
     pub fn order_best_to_worst(&self) -> Vec<usize> {
-        let mut order: Vec<usize> = (0..self.scores.len()).collect();
-        order.sort_by(|&a, &b| {
-            self.scores[b]
-                .partial_cmp(&self.scores[a])
-                .expect("NaN score")
-                .then(a.cmp(&b))
-        });
-        order
+        assert!(
+            self.scores.len() < 2 || !self.scores.iter().any(|s| s.is_nan()),
+            "NaN score"
+        );
+        crate::order::best_first_order(&self.scores)
     }
 
     /// Position of each user in the best-to-worst order (0 = best).

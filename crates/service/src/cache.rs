@@ -81,6 +81,12 @@ impl WarmStartCache {
         }
     }
 
+    /// Looks up an exact version without touching LRU order or counters
+    /// (a second read of an entry [`Self::get`] just counted).
+    pub(crate) fn peek(&self, version: u64) -> Option<&CachedSolve> {
+        self.entries.iter().find(|e| e.version == version)
+    }
+
     /// The highest-version entry (the natural warm start), without
     /// touching LRU order or counters.
     ///

@@ -19,6 +19,7 @@ use crate::cache::{CachedSolve, WarmStartCache};
 use hnd_core::{SolveState, SolverKind, SolverOpts, SpectralSolver, Target};
 use hnd_linalg::{DensityPlan, FormatCounts};
 use hnd_plan::{KernelClass, PlanDecision, PlanMode, Planner, SessionShape};
+use hnd_response::order::{best_first_keys, best_first_order, key_user, sort_extremes};
 use hnd_response::{
     RankError, Ranking, ResponseDelta, ResponseEdit, ResponseError, ResponseLog, ResponseMatrix,
     ResponseOps,
@@ -104,8 +105,10 @@ struct ApproxSolve {
     /// `ranking.scores` normalized to unit L2.
     norm_scores: Vec<f64>,
     /// Indices of `norm_scores` sorted best-first — computed once per
-    /// solve so each skip evaluation stays O(m), not O(m log m) (at large
-    /// rosters the sort would rival the warm solve it skips).
+    /// solve (one sort of packed integer keys, [`best_first_order`]) so
+    /// each skip evaluation and same-version head read stays O(m), not
+    /// O(m log m) (at large rosters the sort would rival the warm solve it
+    /// skips).
     order: Vec<usize>,
     /// The residual tolerance the producing solve ran at — the resolution
     /// of `norm_scores`, and hence the noise band of any skip decision
@@ -957,10 +960,26 @@ impl RankingEngine {
     /// submissions the engine advances the kernel context incrementally and
     /// warm-starts from the nearest cached state.
     pub fn current_ranking(&mut self) -> Result<Ranking, RankError> {
+        self.exact_ranking().cloned()
+    }
+
+    /// [`Self::current_ranking`], borrowed from the exact cache: a cache
+    /// hit copies nothing.
+    fn exact_ranking(&mut self) -> Result<&Ranking, RankError> {
         let version = self.log.version();
-        if let Some(cached) = self.cache.get(version) {
-            return Ok(cached.ranking.clone());
+        if self.cache.get(version).is_none() {
+            self.solve_exact(version)?;
         }
+        Ok(&self
+            .cache
+            .peek(version)
+            .expect("the current version was just found or solved")
+            .ranking)
+    }
+
+    /// The exact solve behind [`Self::exact_ranking`]'s cache miss: fills
+    /// the cache entry and the approx slot for `version`.
+    fn solve_exact(&mut self, version: u64) -> Result<(), RankError> {
         self.advance();
         let warm: Option<SolveState> = self.latest_exact().map(|(_, s)| s.clone());
         if let Some(p) = &self.probe {
@@ -1019,13 +1038,13 @@ impl RankingEngine {
         // certified queries skip or warm-start from the best data.
         let norm = unit_scores(&outcome.ranking.scores);
         self.observe_perturbation(version, &norm, self.opts.solver_opts.tol);
-        let order = sorted_order(&norm);
+        let order = best_first_order(&norm);
         let m = norm.len();
         self.approx = Some(ApproxSolve {
             version,
             k: usize::MAX,
             certified: true,
-            ranking: outcome.ranking.clone(),
+            ranking: outcome.ranking,
             norm_scores: norm,
             order,
             tol: self.opts.solver_opts.tol,
@@ -1033,7 +1052,7 @@ impl RankingEngine {
             span: 0,
             edit_counts: vec![0.0; m],
         });
-        Ok(outcome.ranking)
+        Ok(())
     }
 
     /// The best `k` users as `(user, score)` pairs, best first, at the
@@ -1053,23 +1072,19 @@ impl RankingEngine {
             return Ok(Vec::new());
         }
         match tier {
-            QueryTier::Exact => {
-                let ranking = self.current_ranking()?;
-                Ok(head_of(&ranking, k))
-            }
+            QueryTier::Exact => Ok(head_of(&self.exact_ranking()?.scores, k)),
             QueryTier::Certified => {
                 let version = self.log.version();
                 // An exact solve at this version answers for free.
                 if let Some(cached) = self.cache.get(version) {
-                    let ranking = cached.ranking.clone();
-                    return Ok(head_of(&ranking, k));
+                    return Ok(head_of(&cached.ranking.scores, k));
                 }
                 if let Some(head) = self.try_skip_top_k(k) {
                     return Ok(head);
                 }
                 let ranking =
                     self.solve_with_target(Target::TopK { k, margin: 0.0 }, None, k, true)?;
-                Ok(head_of(&ranking, k))
+                Ok(head_of(&ranking.scores, k))
             }
             QueryTier::Coarse => {
                 let ranking = self.solve_with_target(
@@ -1078,7 +1093,7 @@ impl RankingEngine {
                     k,
                     false,
                 )?;
-                Ok(head_of(&ranking, k))
+                Ok(head_of(&ranking.scores, k))
             }
         }
     }
@@ -1090,6 +1105,13 @@ impl RankingEngine {
     }
 
     /// [`Self::rank_of`] at an explicit tier.
+    ///
+    /// Every tier reads the position off a borrowed ranking in `O(m)`. A
+    /// certified read at an already-answered version solves nothing: it is
+    /// served from the exact cache, else from the approx slot when that
+    /// holds a certified full-ranking solve (rank-stable or exact, never
+    /// coarse) of the current version — the answer a repeat solve would
+    /// re-certify.
     pub fn rank_of_tier(&mut self, user: usize, tier: QueryTier) -> Result<usize, RankError> {
         let m = self.log.n_users();
         if user >= m {
@@ -1097,26 +1119,27 @@ impl RankingEngine {
                 "rank_of: user {user} outside roster of {m}"
             )));
         }
+        let tol = self.opts.solver_opts.tol;
         let ranking = match tier {
-            QueryTier::Exact => self.current_ranking()?,
+            QueryTier::Exact => self.exact_ranking()?,
             QueryTier::Certified => {
                 let version = self.log.version();
                 if let Some(cached) = self.cache.get(version) {
-                    cached.ranking.clone()
-                } else {
-                    let tol = self.opts.solver_opts.tol;
-                    self.solve_with_target(Target::RankStable { tol }, None, usize::MAX, true)?
+                    return Ok(rank_position(&cached.ranking.scores, user));
                 }
+                if let Some(slot) = &self.approx {
+                    if slot.certified && slot.k == usize::MAX && slot.version == version {
+                        return Ok(rank_position(&slot.ranking.scores, user));
+                    }
+                }
+                self.solve_with_target(Target::RankStable { tol }, None, usize::MAX, true)?
             }
-            QueryTier::Coarse => {
-                let tol = self.opts.solver_opts.tol;
-                self.solve_with_target(
-                    Target::RankStable { tol },
-                    Some(COARSE_MAX_ITER),
-                    usize::MAX,
-                    false,
-                )?
-            }
+            QueryTier::Coarse => self.solve_with_target(
+                Target::RankStable { tol },
+                Some(COARSE_MAX_ITER),
+                usize::MAX,
+                false,
+            )?,
         };
         Ok(rank_position(&ranking.scores, user))
     }
@@ -1124,14 +1147,14 @@ impl RankingEngine {
     /// A solve honoring an approximation target, warm-started from the
     /// freshest state available (approx slot or exact cache). The result
     /// lands in the approx slot only — the exact cache never holds an
-    /// early-terminated solution.
+    /// early-terminated solution — and is returned borrowed from there.
     fn solve_with_target(
         &mut self,
         target: Target,
         iter_cap: Option<usize>,
         cert_k: usize,
         certified: bool,
-    ) -> Result<Ranking, RankError> {
+    ) -> Result<&Ranking, RankError> {
         self.advance();
         let version = self.prepared_version;
         let warm: Option<SolveState> = match (self.latest_approx(), self.latest_exact()) {
@@ -1195,14 +1218,14 @@ impl RankingEngine {
         let achieved_tol = outcome.error_bound.unwrap_or(solver_opts.tol);
         let norm = unit_scores(&outcome.ranking.scores);
         self.observe_perturbation(version, &norm, achieved_tol);
-        let order = sorted_order(&norm);
+        let order = best_first_order(&norm);
         let m = norm.len();
         self.carried_approx = None;
-        self.approx = Some(ApproxSolve {
+        let slot = self.approx.insert(ApproxSolve {
             version,
             k: cert_k,
             certified,
-            ranking: outcome.ranking.clone(),
+            ranking: outcome.ranking,
             norm_scores: norm,
             order,
             tol: achieved_tol,
@@ -1210,7 +1233,7 @@ impl RankingEngine {
             span: 0,
             edit_counts: vec![0.0; m],
         });
-        Ok(outcome.ranking)
+        Ok(&slot.ranking)
     }
 
     /// The delta-skip fast path: serve the cached certified ranking's head
@@ -1486,18 +1509,6 @@ fn unit_scores(scores: &[f64]) -> Vec<f64> {
     out
 }
 
-/// Indices sorted by descending score, ascending index on ties.
-fn sorted_order(scores: &[f64]) -> Vec<usize> {
-    let mut order: Vec<usize> = (0..scores.len()).collect();
-    order.sort_by(|&a, &b| {
-        scores[b]
-            .partial_cmp(&scores[a])
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then(a.cmp(&b))
-    });
-    order
-}
-
 /// Per-user authored-edit counts for a wave: how many of the wave's
 /// edits each user wrote themselves. The direct channel of the skip
 /// bound prices these; everyone else is covered by the per-edit ripple
@@ -1524,16 +1535,21 @@ fn head_from(prev: &ApproxSolve, k: usize) -> Vec<(usize, f64)> {
         .collect()
 }
 
-fn head_of(ranking: &Ranking, k: usize) -> Vec<(usize, f64)> {
-    sorted_order(&ranking.scores)
-        .into_iter()
-        .take(k)
-        .map(|u| (u, ranking.scores[u]))
+/// The first `min(k, m)` entries of [`best_first_order`] as `(user, score)`
+/// pairs: the `k` best are selected and only they are sorted.
+fn head_of(scores: &[f64], k: usize) -> Vec<(usize, f64)> {
+    let mut keys = Vec::new();
+    best_first_keys(scores, &mut keys);
+    let k = k.min(keys.len());
+    sort_extremes(&mut keys, k, 0);
+    keys[..k]
+        .iter()
+        .map(|&key| (key_user(key), scores[key_user(key)]))
         .collect()
 }
 
 /// `user`'s position under the same descending-score, ascending-index
-/// order as [`sorted_order`].
+/// order as [`best_first_order`].
 fn rank_position(scores: &[f64], user: usize) -> usize {
     let mine = scores[user];
     scores
@@ -1995,5 +2011,44 @@ mod tests {
         assert!(!engine.is_current());
         engine.current_ranking().unwrap();
         assert!(engine.is_current());
+    }
+
+    /// The order the engine used before packed keys, for NaN-free scores.
+    fn comparator_order(scores: &[f64]) -> Vec<usize> {
+        let mut order: Vec<usize> = (0..scores.len()).collect();
+        order.sort_by(|&a, &b| scores[b].partial_cmp(&scores[a]).unwrap().then(a.cmp(&b)));
+        order
+    }
+
+    #[test]
+    fn packed_orders_match_the_comparator_and_nan_sorts_last() {
+        let palette = [-1.0, -5e-324, -0.0, 0.0, 5e-324, 0.5, 1.0, f64::NAN];
+        let mut state = 7u64;
+        for case in 0..300 {
+            let m = 1 + case % 40;
+            let scores: Vec<f64> = (0..m)
+                .map(|_| {
+                    state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+                    // NaN only in every third case.
+                    let span = if case % 3 == 0 { 8 } else { 7 };
+                    palette[(state >> 33) as usize % span]
+                })
+                .collect();
+            // Numbers in comparator order, then NaNs by index.
+            let numbers: Vec<f64> = scores
+                .iter()
+                .map(|s| if s.is_nan() { 0.0 } else { *s })
+                .collect();
+            let mut want: Vec<usize> = comparator_order(&numbers)
+                .into_iter()
+                .filter(|&u| !scores[u].is_nan())
+                .collect();
+            want.extend((0..m).filter(|&u| scores[u].is_nan()));
+            assert_eq!(best_first_order(&scores), want, "case {case}");
+            for k in [0, 1, m / 2, m, m + 3] {
+                let head: Vec<usize> = head_of(&scores, k).into_iter().map(|(u, _)| u).collect();
+                assert_eq!(head, want[..k.min(m)], "case {case} k {k}");
+            }
+        }
     }
 }

@@ -226,3 +226,72 @@ fn solver_target_on_engine_opts_threads_through() {
     e.submit_responses(staircase(8)).unwrap();
     assert_eq!(e.current_ranking().unwrap().scores.len(), 8);
 }
+
+#[test]
+fn repeated_certified_rank_of_reuses_the_same_version_solve() {
+    let m = 40;
+    let solves = |e: &RankingEngine| {
+        let s = e.stats();
+        (s.warm_solves, s.cold_solves, s.early_terminations)
+    };
+    // Each wave flips one distinct cell of a mid-roster user.
+    let wave = |round: usize| [(m / 2, round, Some(0))];
+    let mut e = engine(m);
+    let mut twin = engine(m);
+    e.current_ranking().unwrap();
+    twin.current_ranking().unwrap();
+
+    // After a wave, the first certified read solves once.
+    e.submit_responses(wave(0)).unwrap();
+    let (warm, cold, early) = solves(&e);
+    let first = e.rank_of(3).unwrap();
+    assert_eq!(solves(&e).0 + solves(&e).1, warm + cold + 1, "one solve");
+    // Further certified reads at that version solve nothing and agree
+    // with the slot's order (a same-version certified top_k reads the
+    // slot directly).
+    let settled = solves(&e);
+    let slot_order: Vec<usize> = e.top_k(m).unwrap().into_iter().map(|(u, _)| u).collect();
+    assert_eq!(slot_order.len(), m);
+    for user in 0..m {
+        let rank = e.rank_of(user).unwrap();
+        assert_eq!(slot_order[rank], user, "user {user}");
+    }
+    assert_eq!(e.rank_of(3).unwrap(), first);
+    assert_eq!(solves(&e), settled, "repeat reads reuse the slot");
+    assert!(settled.2 >= early);
+
+    // A submit makes the next certified read solve again.
+    e.submit_responses(wave(1)).unwrap();
+    e.rank_of(3).unwrap();
+    let after_submit = solves(&e);
+    assert_eq!(after_submit.0 + after_submit.1, settled.0 + settled.1 + 1);
+    e.rank_of(5).unwrap();
+    assert_eq!(solves(&e), after_submit);
+
+    // A coarse solve is never reused as certified.
+    e.submit_responses(wave(2)).unwrap();
+    e.rank_of_tier(3, QueryTier::Coarse).unwrap();
+    let after_coarse = solves(&e);
+    e.rank_of(3).unwrap();
+    let after_certified = solves(&e);
+    assert_eq!(
+        after_certified.0 + after_certified.1,
+        after_coarse.0 + after_coarse.1 + 1,
+        "the certified read solved past the coarse slot"
+    );
+
+    // The exact tier is the matched-warm-chain exact solve, bitwise: the
+    // approximate reads above never enter the exact lineage.
+    for round in 0..3 {
+        twin.submit_responses(wave(round)).unwrap();
+    }
+    let want = twin.current_ranking().unwrap();
+    for user in 0..m {
+        let want_rank = want.order_best_to_worst().iter().position(|&u| u == user);
+        assert_eq!(
+            Some(e.rank_of_tier(user, QueryTier::Exact).unwrap()),
+            want_rank
+        );
+    }
+    assert_eq!(e.current_ranking().unwrap().scores, want.scores);
+}

@@ -38,29 +38,53 @@ const NONE_CELL: u32 = 0xFFFF_FFFF;
 const MAX_PAYLOAD: u32 = 1 << 30;
 
 /// CRC-32 (IEEE 802.3, reflected) over `bytes` — the checksum guarding
-/// every frame and snapshot body. Table-driven; built once at first use.
+/// every frame and snapshot body.
 pub fn crc32(bytes: &[u8]) -> u32 {
-    static TABLE: std::sync::OnceLock<[u32; 256]> = std::sync::OnceLock::new();
-    let table = TABLE.get_or_init(|| {
-        let mut table = [0u32; 256];
-        for (i, slot) in table.iter_mut().enumerate() {
-            let mut crc = i as u32;
-            for _ in 0..8 {
-                crc = if crc & 1 != 0 {
-                    (crc >> 1) ^ 0xEDB8_8320
-                } else {
-                    crc >> 1
-                };
+    let mut crc = Crc32::default();
+    crc.update(bytes);
+    crc.finish()
+}
+
+/// Incremental [`crc32`]: feeding a byte string in any split yields the
+/// checksum of the whole, so a body can be checksummed while it streams
+/// to disk. Table-driven; the table is built once at first use. The
+/// default value is the checksum of the empty string.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Crc32 {
+    /// The checksum so far (the register, complemented).
+    crc: u32,
+}
+
+impl Crc32 {
+    /// Extends the checksummed string by `bytes`.
+    pub fn update(&mut self, bytes: &[u8]) {
+        static TABLE: std::sync::OnceLock<[u32; 256]> = std::sync::OnceLock::new();
+        let table = TABLE.get_or_init(|| {
+            let mut table = [0u32; 256];
+            for (i, slot) in table.iter_mut().enumerate() {
+                let mut crc = i as u32;
+                for _ in 0..8 {
+                    crc = if crc & 1 != 0 {
+                        (crc >> 1) ^ 0xEDB8_8320
+                    } else {
+                        crc >> 1
+                    };
+                }
+                *slot = crc;
             }
-            *slot = crc;
+            table
+        });
+        let mut reg = !self.crc;
+        for &b in bytes {
+            reg = (reg >> 8) ^ table[((reg ^ u32::from(b)) & 0xFF) as usize];
         }
-        table
-    });
-    let mut crc = !0u32;
-    for &b in bytes {
-        crc = (crc >> 8) ^ table[((crc ^ u32::from(b)) & 0xFF) as usize];
+        self.crc = !reg;
     }
-    !crc
+
+    /// The checksum of everything fed so far.
+    pub fn finish(&self) -> u32 {
+        self.crc
+    }
 }
 
 /// How a WAL tail was found damaged (crash mid-write, bit rot, torn
@@ -332,6 +356,11 @@ mod tests {
         // IEEE CRC-32 check value of "123456789".
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+        let mut split = Crc32::default();
+        split.update(b"1234");
+        split.update(b"");
+        split.update(b"56789");
+        assert_eq!(split.finish(), 0xCBF4_3926);
     }
 
     #[test]

@@ -23,76 +23,131 @@
 //! the *previous* snapshot intact, and a corrupted body fails the CRC and
 //! is reported as damage, never parsed.
 
-use crate::frame::crc32;
+use crate::frame::{crc32, Crc32};
 use crate::wal::sync_dir;
 use crate::StoreError;
 use hnd_response::ResponseLog;
 use std::fs::File;
-use std::io::{Read, Write};
+use std::io::{BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::Path;
 
 /// File magic of a binary session snapshot.
 pub const SNAP_MAGIC: [u8; 8] = *b"HNDSNAP1";
 const FORMAT_VERSION: u8 = 1;
+/// Byte offset of the body CRC in the header.
+const CRC_OFFSET: u64 = 12;
 
-fn put_u32(buf: &mut Vec<u8>, v: u32) {
-    buf.extend_from_slice(&v.to_le_bytes());
+/// Answered cells of `log` (the body's `nnz`).
+fn answered_cells(log: &ResponseLog) -> usize {
+    (0..log.n_users())
+        .map(|u| log.user_row(u).iter().filter(|c| c.is_some()).count())
+        .sum()
 }
 
-fn put_u64(buf: &mut Vec<u8>, v: u64) {
-    buf.extend_from_slice(&v.to_le_bytes());
+/// Length of the snapshot body of a log with `m` users, `n` items and
+/// `nnz` answered cells.
+fn body_len(m: usize, n: usize, nnz: usize) -> usize {
+    1 + 24 + 4 + 4 * n + 8 * (m + 1) + 4 + 8 * nnz
 }
 
-/// Serializes `log` into the snapshot body (no envelope).
-fn encode_body(log: &ResponseLog) -> Vec<u8> {
+/// A writer that checksums everything passing through it.
+struct CrcWriter<W> {
+    inner: W,
+    crc: Crc32,
+    written: usize,
+}
+
+impl<W: Write> Write for CrcWriter<W> {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        let n = self.inner.write(buf)?;
+        self.crc.update(&buf[..n]);
+        self.written += n;
+        Ok(n)
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        self.inner.flush()
+    }
+}
+
+/// Streams the snapshot body of `log` (no envelope) into `w`, array by
+/// array straight from the log's rows — the CSR arrays are never
+/// materialized.
+fn write_body(w: &mut impl Write, log: &ResponseLog, nnz: usize) -> std::io::Result<()> {
     let (m, n) = (log.n_users(), log.n_items());
+    let rows = || (0..m).map(|u| log.user_row(u));
+    w.write_all(&[FORMAT_VERSION])?;
+    w.write_all(&(m as u64).to_le_bytes())?;
+    w.write_all(&(n as u64).to_le_bytes())?;
+    w.write_all(&log.version().to_le_bytes())?;
+    w.write_all(&(n as u32).to_le_bytes())?;
+    for &k in log.options() {
+        w.write_all(&u32::from(k).to_le_bytes())?;
+    }
     // CSR of answered cells: row_ptr over users, then (item, choice) pairs.
-    let mut row_ptr: Vec<u64> = Vec::with_capacity(m + 1);
-    let mut items: Vec<u32> = Vec::new();
-    let mut choices: Vec<u32> = Vec::new();
-    row_ptr.push(0);
-    for u in 0..m {
-        for (i, &cell) in log.user_row(u).iter().enumerate() {
-            if let Some(c) = cell {
-                items.push(i as u32);
-                choices.push(u32::from(c));
+    let mut ptr = 0u64;
+    w.write_all(&ptr.to_le_bytes())?;
+    for row in rows() {
+        ptr += row.iter().filter(|c| c.is_some()).count() as u64;
+        w.write_all(&ptr.to_le_bytes())?;
+    }
+    w.write_all(&(nnz as u32).to_le_bytes())?;
+    for row in rows() {
+        for (i, cell) in row.iter().enumerate() {
+            if cell.is_some() {
+                w.write_all(&(i as u32).to_le_bytes())?;
             }
         }
-        row_ptr.push(items.len() as u64);
     }
-
-    let mut body = Vec::with_capacity(1 + 24 + 4 + 4 * n + 8 * (m + 1) + 4 + 8 * items.len());
-    body.push(FORMAT_VERSION);
-    put_u64(&mut body, m as u64);
-    put_u64(&mut body, n as u64);
-    put_u64(&mut body, log.version());
-    put_u32(&mut body, n as u32);
-    for &k in log.options() {
-        put_u32(&mut body, u32::from(k));
+    for row in rows() {
+        for &c in row.iter().flatten() {
+            w.write_all(&u32::from(c).to_le_bytes())?;
+        }
     }
-    for &p in &row_ptr {
-        put_u64(&mut body, p);
-    }
-    put_u32(&mut body, items.len() as u32);
-    for &i in &items {
-        put_u32(&mut body, i);
-    }
-    for &c in &choices {
-        put_u32(&mut body, c);
-    }
-    body
+    Ok(())
 }
 
 /// Atomically writes the snapshot of `log` at its current version.
+///
+/// The body streams to the temp file through a buffer with an incremental
+/// CRC, so the write holds no copy of the body: the header's length is
+/// known up front from the answered-cell count, and its CRC slot is
+/// patched once the body is out, before the `fsync`.
 pub(crate) fn write_snapshot(path: &Path, log: &ResponseLog) -> Result<(), StoreError> {
-    let body = encode_body(log);
+    let nnz = answered_cells(log);
+    let len = body_len(log.n_users(), log.n_items(), nnz);
+    let len_word = u32::try_from(len).map_err(|_| {
+        std::io::Error::new(
+            std::io::ErrorKind::InvalidInput,
+            format!("snapshot body of {len} bytes overflows its u32 length word"),
+        )
+    })?;
     let tmp = path.with_extension("snap.tmp");
     {
         let mut f = File::create(&tmp)?;
         f.write_all(&SNAP_MAGIC)?;
-        f.write_all(&(body.len() as u32).to_le_bytes())?;
-        f.write_all(&crc32(&body).to_le_bytes())?;
-        f.write_all(&body)?;
+        f.write_all(&len_word.to_le_bytes())?;
+        f.write_all(&[0; 4])?;
+        let mut body = BufWriter::with_capacity(
+            1 << 16,
+            CrcWriter {
+                inner: &mut f,
+                crc: Crc32::default(),
+                written: 0,
+            },
+        );
+        write_body(&mut body, log, nnz)?;
+        let body = body.into_inner().map_err(|e| e.into_error())?;
+        if body.written != len {
+            return Err(std::io::Error::other(format!(
+                "snapshot body wrote {} bytes, header says {len}",
+                body.written
+            ))
+            .into());
+        }
+        let crc = body.crc.finish();
+        f.seek(SeekFrom::Start(CRC_OFFSET))?;
+        f.write_all(&crc.to_le_bytes())?;
         f.sync_all()?;
     }
     std::fs::rename(&tmp, path)?;
@@ -198,6 +253,95 @@ pub(crate) fn read_snapshot(path: &Path) -> Result<ResponseLog, StoreError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn put_u32(buf: &mut Vec<u8>, v: u32) {
+        buf.extend_from_slice(&v.to_le_bytes());
+    }
+
+    fn put_u64(buf: &mut Vec<u8>, v: u64) {
+        buf.extend_from_slice(&v.to_le_bytes());
+    }
+
+    /// The in-memory encoder the streaming writer replaced: the whole
+    /// file (envelope and body) as one buffer. The oracle of
+    /// [`streamed_file_matches_the_in_memory_encoder`].
+    fn encode_file(log: &ResponseLog) -> Vec<u8> {
+        let (m, n) = (log.n_users(), log.n_items());
+        let mut row_ptr: Vec<u64> = Vec::with_capacity(m + 1);
+        let mut items: Vec<u32> = Vec::new();
+        let mut choices: Vec<u32> = Vec::new();
+        row_ptr.push(0);
+        for u in 0..m {
+            for (i, &cell) in log.user_row(u).iter().enumerate() {
+                if let Some(c) = cell {
+                    items.push(i as u32);
+                    choices.push(u32::from(c));
+                }
+            }
+            row_ptr.push(items.len() as u64);
+        }
+        let mut body = Vec::new();
+        body.push(FORMAT_VERSION);
+        put_u64(&mut body, m as u64);
+        put_u64(&mut body, n as u64);
+        put_u64(&mut body, log.version());
+        put_u32(&mut body, n as u32);
+        for &k in log.options() {
+            put_u32(&mut body, u32::from(k));
+        }
+        for &p in &row_ptr {
+            put_u64(&mut body, p);
+        }
+        put_u32(&mut body, items.len() as u32);
+        for &i in &items {
+            put_u32(&mut body, i);
+        }
+        for &c in &choices {
+            put_u32(&mut body, c);
+        }
+        let mut file = SNAP_MAGIC.to_vec();
+        put_u32(&mut file, body.len() as u32);
+        put_u32(&mut file, crc32(&body));
+        file.extend(body);
+        file
+    }
+
+    #[test]
+    fn streamed_file_matches_the_in_memory_encoder() {
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        let mut next = |bound: usize| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % bound as u64) as usize
+        };
+        for case in 0..40 {
+            let (m, n) = (1 + next(60), 1 + next(12));
+            let options: Vec<u16> = (0..n).map(|_| 1 + next(6) as u16).collect();
+            let mut log = ResponseLog::new(m, n, &options).unwrap();
+            // Densities from empty to full, in a few waves.
+            let density = case % 5;
+            for _ in 0..1 + next(3) {
+                let edits: Vec<(usize, usize, Option<u16>)> = (0..m * n * density / 4)
+                    .map(|_| {
+                        let item = next(n);
+                        let pick = next(options[item] as usize + 1);
+                        (next(m), item, (pick > 0).then(|| pick as u16 - 1))
+                    })
+                    .collect();
+                log.submit(edits).unwrap();
+            }
+            let path = temp_path("stream");
+            write_snapshot(&path, &log).unwrap();
+            assert_eq!(
+                std::fs::read(&path).unwrap(),
+                encode_file(&log),
+                "case {case}"
+            );
+            assert_eq!(read_snapshot(&path).unwrap().to_matrix(), log.to_matrix());
+            std::fs::remove_file(&path).ok();
+        }
+    }
 
     fn temp_path(tag: &str) -> std::path::PathBuf {
         static UNIQUE: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
